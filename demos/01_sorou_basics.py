@@ -15,8 +15,8 @@ from minvan import (
     relative_order,
     render_sorou,
     rotate,
-    sorou,
 )
+from minvan.sorou import sorou
 
 # R_3 = 1 + nu_3 + nu_3^2, entered three ways
 r3 = sorou([(1, 0), (3, 1), (3, 2)])

@@ -23,7 +23,7 @@ cache = SorouCache()
 db = TypeDatabase()
 start = time.monotonic()
 for w in range(2, MAX_WEIGHT + 1):
-    new_types = generate_next_weight(db, GenerationConfig(target_weight=w))
+    new_types = generate_next_weight(db, GenerationConfig(target_weight=w), cache)
     records = [type_statistics(m, cache) for m in new_types]
     db.commit_weight(w, records)
     print(f"weight {w:2d}: {len(records)} types")

@@ -35,7 +35,6 @@ from minvan.sorou import (
     relative_order,
     render_sorou,
     rotate,
-    sorou,
     split_root,
     subtract,
     to_subsidiary,

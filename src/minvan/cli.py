@@ -101,7 +101,7 @@ def _extend_to(db: store.TypeDatabase, db_path: str, target: int, cfg_kwargs: di
     for w in range(db.max_complete_weight + 1, target + 1):
         start = time.monotonic()
         cfg = typegen.GenerationConfig(target_weight=w, **cfg_kwargs)
-        new_types = typegen.generate_next_weight(db, cfg)
+        new_types = typegen.generate_next_weight(db, cfg, cache)
         records = [enumeration.type_statistics(m, cache) for m in new_types]
         db.commit_weight(w, records)
         store.save_db(db, db_path)
@@ -130,7 +130,6 @@ def cmd_extend(args) -> int:
         print(f"database already complete through {db.max_complete_weight}")
         return 0
     cfg_kwargs = dict(
-        threads=args.threads,
         enable_minvan_subtype_filter=not args.no_minvan_filter,
         enable_conjugate_collapse=not args.no_conjugate_collapse,
     )
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="extend the classification to a higher weight")
     p.add_argument("--db", default=_default_db_path())
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--no-minvan-filter", action="store_true")
     p.add_argument("--no-conjugate-collapse", action="store_true")
     p.set_defaults(func=cmd_extend)

@@ -16,7 +16,6 @@ module and is transparent to results.
 
 from __future__ import annotations
 
-import threading
 from itertools import chain, product
 
 from minvan.minimality import is_minimal_vanishing
@@ -46,24 +45,20 @@ from minvan.types import (
 
 
 class SorouCache:
-    """Concurrent memo of rotation-class lists keyed by rendered type."""
+    """Memo of rotation-class lists keyed by rendered type."""
 
     def __init__(self, data: dict[str, tuple[Sorou, ...]] | None = None):
-        self._lock = threading.Lock()
         self._classes: dict[str, tuple[Sorou, ...]] = dict(data or {})
         self._anchored: dict[tuple[str, Sorou], tuple[Sorou, ...]] = {}
 
     def get(self, key: str) -> tuple[Sorou, ...] | None:
-        with self._lock:
-            return self._classes.get(key)
+        return self._classes.get(key)
 
     def put(self, key: str, value: tuple[Sorou, ...]) -> None:
-        with self._lock:
-            self._classes.setdefault(key, value)
+        self._classes.setdefault(key, value)
 
     def as_dict(self) -> dict[str, tuple[Sorou, ...]]:
-        with self._lock:
-            return dict(self._classes)
+        return dict(self._classes)
 
 
 def _anchored_variants(pool, f0: Sorou) -> list[Sorou]:
@@ -81,8 +76,7 @@ def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[
     if t.is_minimal_claim:
         return list(sorou_of_minvan_type(t.components[0], cache))
     key = (render_type(t), f0)
-    with cache._lock:
-        hit = cache._anchored.get(key)
+    hit = cache._anchored.get(key)
     if hit is not None:
         return list(hit)
     m = len(t.components)
@@ -99,8 +93,7 @@ def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[
             for pieces in product(*per_component):
                 out.setdefault(tuple(sorted(chain.from_iterable(pieces))), None)
     result = tuple(sorted(out))
-    with cache._lock:
-        cache._anchored.setdefault(key, result)
+    cache._anchored.setdefault(key, result)
     return list(result)
 
 

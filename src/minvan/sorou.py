@@ -52,10 +52,6 @@ def root_inv(a: Root) -> Root:
     return (a[0], a[0] - a[1]) if a[1] else a
 
 
-# On the unit circle conjugation is inversion.
-root_conj = root_inv
-
-
 def root_neg(a: Root) -> Root:
     return root_mul(a, MINUS_ONE)
 

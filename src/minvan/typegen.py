@@ -18,7 +18,6 @@ as an independent oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
@@ -47,10 +46,8 @@ from minvan.types import (
 @dataclass(frozen=True)
 class GenerationConfig:
     target_weight: int
-    threads: int = 1
     enable_minvan_subtype_filter: bool = True
     enable_conjugate_collapse: bool = True
-    allow_repeated_f0_terms: bool = False
 
     def __post_init__(self):
         if self.target_weight < 2:
@@ -90,9 +87,8 @@ def candidate_f0s(w: int, p: int, cfg: GenerationConfig) -> list[Sorou]:
     q = math.prod(primes_below(p))
     if q == 1:
         return []
-    chooser = combinations_with_replacement if cfg.allow_repeated_f0_terms else combinations
     out = set()
-    for exps in chooser(range(1, q), w - 1):
+    for exps in combinations(range(1, q), w - 1):
         f0 = sorou([(1, 0)] + [(q, e) for e in exps])
         if weight(f0) != w or _has_vanishing_nonempty_subsorou(f0):
             continue
@@ -160,14 +156,12 @@ def _subtype_combos(parts: tuple[int, ...], p: int, f0: Sorou, db, cfg: Generati
         yield subtypes
 
 
-_certify_cache = None
-
-
-def _certify(candidate: MinVanType, target_weight: int) -> bool:
+def _certify(candidate: MinVanType, target_weight: int, cache: SorouCache) -> bool:
     """A candidate type survives iff some sorou of that type is minimal
     vanishing of the right weight.  The deterministic representative is the
     fast path; if its particular assembly fails (or cannot be anchored at
-    all) the full assembly space decides."""
+    all) the full assembly space decides, reading the subtypes' classes from
+    cache.  The candidate's own class list is never stored there."""
     if minvan_weight(candidate) != target_weight:
         return False
     try:
@@ -176,15 +170,18 @@ def _certify(candidate: MinVanType, target_weight: int) -> bool:
         rep = None
     if rep is not None and weight(rep) == target_weight and is_minimal_vanishing(rep).minimal:
         return True
-    global _certify_cache
-    if _certify_cache is None:
-        _certify_cache = SorouCache()
-    return has_minimal_realization(candidate, _certify_cache)
+    return has_minimal_realization(candidate, cache)
 
 
-def generate_next_weight(db, cfg: GenerationConfig) -> list[MinVanType]:
+def generate_next_weight(
+    db, cfg: GenerationConfig, cache: SorouCache | None = None
+) -> list[MinVanType]:
     """All minimal vanishing types of cfg.target_weight, given a database
-    complete through target_weight - 1."""
+    complete through target_weight - 1.  Pass the cache that statistics use
+    so certification reuses its class lists; None starts a fresh one.  The
+    cache never changes the result."""
+    if cache is None:
+        cache = SorouCache()
     w1 = cfg.target_weight
     if db.max_complete_weight != w1 - 1:
         raise ValueError(
@@ -204,15 +201,10 @@ def generate_next_weight(db, cfg: GenerationConfig) -> list[MinVanType]:
                     except ValueError:
                         continue
 
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            flags = list(pool.map(_certify, candidates, [w1] * len(candidates), chunksize=8))
-    else:
-        flags = [_certify(c, w1) for c in candidates]
-    kept = [c for c, ok in zip(candidates, flags) if ok]
-
     out: dict = {}
-    for m in kept:
+    for m in candidates:
+        if not _certify(m, w1, cache):
+            continue
         t = TypeSum((m,))
         if cfg.enable_conjugate_collapse:
             t = family_representative(t)
@@ -233,6 +225,7 @@ def types_2pq_oracle(
         if head <= weight_cap:
             found.append(MinVanType(head, (ONE,)))
     rp = TypeSum((MinVanType(p, (ONE,)),))
+    cache = SorouCache()
     for size in range(1, (p - 1) // 2 + 1):
         for rest in combinations(range(1, p), size - 1):
             f0 = sorou([(1, 0)] + [(p, e) for e in rest])
@@ -243,7 +236,7 @@ def types_2pq_oracle(
                     cand = MinVanType(q, f0, (rp,) * nj)
                 except ValueError:
                     continue
-                if _certify(cand, minvan_weight(cand)):
+                if _certify(cand, minvan_weight(cand), cache):
                     found.append(cand)
     out: dict = {}
     for m in found:

@@ -12,7 +12,7 @@ def build_database(max_weight: int, cache: SorouCache, **cfg_kwargs) -> TypeData
     db = TypeDatabase(collapse=cfg_kwargs.get("enable_conjugate_collapse", True))
     for w in range(2, max_weight + 1):
         cfg = GenerationConfig(target_weight=w, **cfg_kwargs)
-        new_types = generate_next_weight(db, cfg)
+        new_types = generate_next_weight(db, cfg, cache)
         db.commit_weight(w, [type_statistics(m, cache) for m in new_types])
     db.build_seconds = time.monotonic() - start
     return db

@@ -45,7 +45,7 @@ def db18(db16, shared_cache):
     db = TypeDatabase(max_complete_weight=16, collapse=True)
     db.records = list(db16.records)
     for w in (17, 18):
-        new = generate_next_weight(db, GenerationConfig(target_weight=w))
+        new = generate_next_weight(db, GenerationConfig(target_weight=w), shared_cache)
         db.commit_weight(w, [type_statistics(m, shared_cache) for m in new])
     return db
 
@@ -96,7 +96,7 @@ def test_criterion_3_height_theorem_gate(db18, shared_cache):
         db = TypeDatabase(max_complete_weight=18, collapse=True)
         db.records = list(db18.records)
         for w in (19, 20, 21):
-            new = generate_next_weight(db, GenerationConfig(target_weight=w))
+            new = generate_next_weight(db, GenerationConfig(target_weight=w), shared_cache)
             db.commit_weight(w, [type_statistics(m, shared_cache) for m in new])
         for w in (19, 20):
             assert all(r.heights == frozenset({1}) for r in db.records_for_weight(w))

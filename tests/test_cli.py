@@ -85,6 +85,9 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["extend"])  # --to is required
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["extend", "--to", "13", "--threads", "2"])  # no such option
+    assert err.value.code == 2
 
 
 def test_enumerate_command(db_path, capsys):

@@ -91,6 +91,24 @@ def test_is_vanishing_examples():
         is_vanishing(())
 
 
+def test_heavy_sorou_skips_the_prefilter(monkeypatch):
+    import minvan.cyclotomic as cyclotomic
+
+    calls = []
+
+    def counted(s, modulus=None):
+        calls.append(len(s))
+        return residue(s, modulus)
+
+    monkeypatch.setattr(cyclotomic, "residue", counted)
+    at_limit = ((1, 0),) * cyclotomic.PREFILTER_MAX_WEIGHT
+    assert not is_vanishing(at_limit)
+    assert calls == []  # decided by the prefilter
+    heavier = ((1, 0),) * 10_000
+    assert not is_vanishing(heavier)
+    assert calls == [10_000]
+
+
 def test_values_equal():
     one = sorou([(1, 0)])
     assert values_equal(one, one)

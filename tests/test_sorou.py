@@ -243,3 +243,12 @@ def test_relative_order_divides_order(s):
     assert order(s) % relative_order(s) == 0
     if (1, 0) in s:
         assert order(s) == relative_order(s)
+
+
+def test_submodule_import_binds_the_module():
+    import types
+
+    import minvan.sorou as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.sorou([(3, 1)]) == ((3, 1),)

@@ -56,15 +56,6 @@ def test_candidate_f0s_weight2_top7():
     assert len(collapsed) == 6  # one per Galois orbit: orders 30,15,10,6,5,3
 
 
-def test_candidate_f0s_repeated_terms_flag():
-    base = GenerationConfig(target_weight=21)
-    with_repeats = GenerationConfig(target_weight=21, allow_repeated_f0_terms=True)
-    plain = set(candidate_f0s(3, 7, base))
-    extended = set(candidate_f0s(3, 7, with_repeats))
-    assert plain <= extended
-    assert any(len(set(f0)) < 3 for f0 in extended - plain)
-
-
 def test_uncollapsed_generation_counts(db16, shared_cache):
     # without the family collapse weight 15 has 15 distinct types
     # ((R_7:1+nu_5^y:R_5) splits into its two Galois members)
@@ -118,12 +109,27 @@ def test_determinism(db16):
     assert first == second
 
 
-def test_threads_do_not_change_output(db16):
-    base = generate_next_weight(_truncated(db16, 12), GenerationConfig(target_weight=13))
-    threaded = generate_next_weight(
-        _truncated(db16, 12), GenerationConfig(target_weight=13, threads=2)
-    )
-    assert base == threaded
+def test_certification_shares_the_statistics_cache(monkeypatch):
+    import minvan.typegen as typegen
+    from conftest import build_database
+    from minvan.enumeration import SorouCache
+    from minvan.types import parse_type, type_weight
+
+    cache = SorouCache()
+    db13 = build_database(13, cache)
+    fallback = typegen.has_minimal_realization
+    fallbacks = []
+
+    def counted(m, c):
+        fallbacks.append(c)
+        return fallback(m, c)
+
+    monkeypatch.setattr(typegen, "has_minimal_realization", counted)
+    shared = generate_next_weight(db13, GenerationConfig(target_weight=14), cache)
+    assert fallbacks and all(c is cache for c in fallbacks)
+    # no candidate's class list was stored, rejected or not
+    assert all(type_weight(parse_type(key)) <= 13 for key in cache.as_dict())
+    assert shared == generate_next_weight(db13, GenerationConfig(target_weight=14))
 
 
 def test_incomplete_database_rejected(db16):
