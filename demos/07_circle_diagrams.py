@@ -5,7 +5,7 @@ multiplicity k is drawn at k times the base radius, so height-2 sorou show a
 second ring.
 """
 
-from minvan.cli import PlotSpec, render_svg
+from minvan.cli import render_svg
 from minvan.sorou import parse_sorou, render_sorou
 
 from pathlib import Path
@@ -18,6 +18,6 @@ EXAMPLES = {
 
 for name, text in EXAMPLES.items():
     s = parse_sorou(text)
-    svg = render_svg(PlotSpec(sorou=s, out_path=name))
+    svg = render_svg(s)
     Path(name).write_text(svg + "\n")
     print(f"wrote {name}  ({render_sorou(s)})")

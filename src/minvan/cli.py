@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from minvan import enumeration, store, typegen
 from minvan.cyclotomic import cyclotomic_poly
@@ -67,12 +66,8 @@ BOOTSTRAP_FIXTURE: dict[int, frozenset[str]] = {
 }
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    sorou: Sorou
-    out_path: str
-    radius: float = 120.0
-    stack_step: float = 1.0  # multiplicity k is drawn at radius k*step*radius
+# Base radius of a plot; the k-th copy of a term is drawn at radius k * PLOT_RADIUS.
+PLOT_RADIUS = 120.0
 
 
 def _default_db_path() -> str:
@@ -201,15 +196,15 @@ def cmd_phi(args) -> int:
     return 0
 
 
-def render_svg(spec: PlotSpec) -> str:
+def render_svg(s: Sorou) -> str:
     """Unit-circle diagram; a term of multiplicity k is stacked at radius
     k times the base radius, echoing the doubled-term figure convention."""
-    r = spec.radius
+    r = PLOT_RADIUS
     counts: dict[tuple[int, int], int] = {}
-    for t in spec.sorou:
+    for t in s:
         counts[t] = counts.get(t, 0) + 1
     max_mult = max(counts.values())
-    size = 2.2 * r * max_mult * spec.stack_step
+    size = 2.2 * r * max_mult
     half = size / 2
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -220,13 +215,13 @@ def render_svg(spec: PlotSpec) -> str:
     ]
     for k in range(1, max_mult + 1):
         lines.append(
-            f'<circle cx="0" cy="0" r="{k * spec.stack_step * r:.1f}" fill="none" '
+            f'<circle cx="0" cy="0" r="{k * r:.1f}" fill="none" '
             'stroke="#bbb" stroke-width="1" stroke-dasharray="4 3"/>'
         )
     for (o, p), mult in sorted(counts.items()):
         angle = 2 * math.pi * p / o
         for k in range(1, mult + 1):
-            rad = k * spec.stack_step * r
+            rad = k * r
             x, y = rad * math.cos(angle), -rad * math.sin(angle)
             lines.append(
                 f'<line x1="0" y1="0" x2="{x:.2f}" y2="{y:.2f}" '
@@ -239,9 +234,8 @@ def render_svg(spec: PlotSpec) -> str:
 
 def cmd_plot(args) -> int:
     s = parse_sorou(args.sorou)
-    spec = PlotSpec(sorou=s, out_path=args.out)
     with open(args.out, "w") as fh:
-        fh.write(render_svg(spec) + "\n")
+        fh.write(render_svg(s) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

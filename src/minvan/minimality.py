@@ -130,6 +130,15 @@ def is_minimal_vanishing_bruteforce(s: Sorou) -> bool:
     return not has_vanishing_proper(0, 0, 0j)
 
 
+def _smallest_vanishing(s: Sorou) -> list[Sorou]:
+    """The vanishing sub-multisets of s of least weight >= 2, or []."""
+    for k in range(2, weight(s) + 1):
+        found = [sub for sub in sub_multisets_of_size(s, k) if is_vanishing(sub)]
+        if found:
+            return found
+    return []
+
+
 def decompose_into_minimal(s: Sorou) -> list[Sorou]:
     """Split a vanishing sorou into minimal vanishing parts.
 
@@ -143,13 +152,10 @@ def decompose_into_minimal(s: Sorou) -> list[Sorou]:
     parts = []
     rest = s
     while rest:
-        for k in range(2, weight(rest) + 1):
-            found = [sub for sub in sub_multisets_of_size(rest, k) if is_vanishing(sub)]
-            if found:
-                part = min(found, key=render_sorou)
-                parts.append(part)
-                rest = subtract(rest, part)
-                break
-        else:
+        found = _smallest_vanishing(rest)
+        if not found:
             raise AssertionError("vanishing remainder without vanishing subsorou")
+        part = min(found, key=render_sorou)
+        parts.append(part)
+        rest = subtract(rest, part)
     return parts

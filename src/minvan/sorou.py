@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from minvan.arith import is_squarefree, prime_factors
@@ -29,6 +30,8 @@ MINUS_ONE: Root = (2, 1)
 
 # Subset streams are guarded: Prop-2.3 style checks only ever enumerate
 # subsets of subsidiary parts, whose weights stay well below this in scope.
+# The guard bounds a stream at 2**24 combinations: `combinations` walks every
+# index subset, so repeated terms cost as much as distinct ones.
 SUBSET_GUARD_WEIGHT = 24
 
 
@@ -140,28 +143,16 @@ def is_subsorou(g: Sorou, h: Sorou) -> bool:
     return Counter(g) <= Counter(h)
 
 
-def _grouped(s: Sorou) -> list[tuple[Root, int]]:
-    return sorted(Counter(s).items())
-
-
 def sub_multisets_of_size(s: Sorou, k: int) -> Iterator[Sorou]:
-    """Distinct sub-multisets of s with exactly k terms, each yielded once."""
-    groups = _grouped(s)
+    """Distinct sub-multisets of s with exactly k terms, each yielded once.
 
-    def rec(idx: int, k: int, acc: list[Root]) -> Iterator[Sorou]:
-        if k == 0:
-            yield tuple(acc)
-            return
-        if idx == len(groups):
-            return
-        root, mult = groups[idx]
-        rest = sum(m for _, m in groups[idx + 1:])
-        for take in range(min(mult, k), -1, -1):
-            if k - take > rest:
-                continue
-            yield from rec(idx + 1, k - take, acc + [root] * take)
-
-    return rec(0, k, [])
+    s is sorted, so every combination is already a sorted sorou.  Only
+    repeated terms produce duplicates; the dict that drops them holds a whole
+    level (about 0.5 GB for 12 of 24 terms), so distinct terms skip it.
+    """
+    if len(set(s)) == len(s):
+        return combinations(s, k)
+    return iter(dict.fromkeys(combinations(s, k)))
 
 
 def proper_nonempty_subsorous(s: Sorou) -> Iterator[Sorou]:
@@ -243,32 +234,29 @@ def from_subsidiary(d: SubsidiaryDecomposition) -> Sorou:
 
 
 def labeled_partitions(s: Sorou, m: int) -> Iterator[tuple[Sorou, ...]]:
-    """Ordered partitions of the multiset s into m nonempty labeled parts."""
-    groups = _grouped(s)
-
-    def splits(mult: int, m: int) -> Iterator[tuple[int, ...]]:
-        if m == 1:
-            yield (mult,)
-            return
-        for first in range(mult + 1):
-            for rest in splits(mult - first, m - 1):
-                yield (first,) + rest
-
-    def rec(idx: int, parts: list[list[Root]]) -> Iterator[tuple[Sorou, ...]]:
-        if idx == len(groups):
-            if all(parts):
-                yield tuple(tuple(part) for part in parts)
-            return
-        root, mult = groups[idx]
-        for counts in splits(mult, m):
-            yield from rec(idx + 1, [part + [root] * c for part, c in zip(parts, counts)])
-
-    return rec(0, [[] for _ in range(m)])
+    """Ordered partitions of the multiset s into m nonempty labeled parts, in
+    lexicographic order of the per-root count vectors."""
+    groups = sorted(Counter(s).items())
+    splits = [
+        [c for c in product(range(mult + 1), repeat=m) if sum(c) == mult] for _, mult in groups
+    ]
+    partitions = (
+        tuple(
+            tuple(root for (root, _), c in zip(groups, choice) for _ in range(c[j]))
+            for j in range(m)
+        )
+        for choice in product(*splits)
+    )
+    return (parts for parts in partitions if all(parts))
 
 
 def distinct_permutations(items: list) -> Iterator[tuple]:
-    """Unique permutations of a multiset (items must be sortable-free: uses
-    equality grouping in input order)."""
+    """Unique permutations of a multiset.
+
+    Items need only equality, not order or hashing; equal items are grouped
+    in first-seen order.  ``itertools`` has no multiset permutations, and
+    deduplicating ``permutations`` would walk all n! orderings.
+    """
     pool: list = []
     counts: list[int] = []
     for it in items:

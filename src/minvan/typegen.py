@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from minvan.arith import primes_below, primes_upto, units
 from minvan.enumeration import SorouCache, has_minimal_realization
-from minvan.minimality import is_minimal_vanishing
+from minvan.minimality import _smallest_vanishing, is_minimal_vanishing
 from minvan.sorou import (
     ONE,
     Sorou,
@@ -34,7 +34,6 @@ from minvan.sorou import (
 from minvan.types import (
     MinVanType,
     TypeSum,
-    _has_vanishing_nonempty_subsorou,
     family_representative,
     minvan_key,
     minvan_weight,
@@ -90,7 +89,7 @@ def candidate_f0s(w: int, p: int, cfg: GenerationConfig) -> list[Sorou]:
     out = set()
     for exps in combinations(range(1, q), w - 1):
         f0 = sorou([(1, 0)] + [(q, e) for e in exps])
-        if weight(f0) != w or _has_vanishing_nonempty_subsorou(f0):
+        if weight(f0) != w or _smallest_vanishing(f0):
             continue
         out.add(canonicalize(f0))
     if cfg.enable_conjugate_collapse:

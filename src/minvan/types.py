@@ -21,8 +21,7 @@ from functools import cache
 from itertools import chain
 
 from minvan.arith import is_prime, primes_below, units
-from minvan.cyclotomic import is_vanishing
-from minvan.minimality import decompose_into_minimal, is_minimal_vanishing
+from minvan.minimality import _smallest_vanishing, decompose_into_minimal, is_minimal_vanishing
 from minvan.sorou import (
     ONE,
     Root,
@@ -40,7 +39,6 @@ from minvan.sorou import (
     root_mul,
     rotate,
     sorou,
-    sub_multisets_of_size,
     subtract,
     to_subsidiary,
     weight,
@@ -61,7 +59,7 @@ class MinVanType:
         q = math.prod(primes_below(self.p))
         if q % relative_order(f0):
             raise ValueError("f0 relative order must divide the product of primes below p")
-        if _has_vanishing_nonempty_subsorou(f0):
+        if _smallest_vanishing(f0):
             raise ValueError("f0 must have no vanishing nonempty subsorou")
         if len(self.subtypes) > self.p - 1:
             raise ValueError("more subtypes than available slots")
@@ -104,13 +102,6 @@ class TypeRecord:
     parities: frozenset[tuple[int, int]]
     heights: frozenset[int]
     equisigned: bool
-
-
-def _has_vanishing_nonempty_subsorou(s: Sorou) -> bool:
-    for k in range(2, weight(s) + 1):
-        if any(is_vanishing(sub) for sub in sub_multisets_of_size(s, k)):
-            return True
-    return False
 
 
 def R(p: int) -> MinVanType:

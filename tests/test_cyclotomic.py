@@ -142,3 +142,11 @@ def test_residue_additive_at_common_modulus():
         ra, rb = residue(a, 210), residue(b, 210)
         rsum = residue(tuple(sorted(a + b)), 210)
         assert rsum.coefficients == tuple(x + y for x, y in zip(ra.coefficients, rb.coefficients))
+
+
+def test_cyclotomic_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 301):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(n).coefficients == tuple(int(c) for c in expected), n

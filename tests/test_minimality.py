@@ -8,6 +8,7 @@ from minvan.minimality import (
     FAIL_COMMON_SUBVALUE,
     FAIL_INNER_VANISHING,
     FAIL_NOT_VANISHING,
+    MinimalityVerdict,
     decompose_into_minimal,
     is_minimal_vanishing,
     is_minimal_vanishing_bruteforce,
@@ -131,3 +132,8 @@ def test_decompose_r3_plus_negated_r3_prefers_weight2():
     s = tuple(sorted(R3 + rotate(R3, (2, 1))))
     parts = decompose_into_minimal(s)
     assert sorted(len(p) for p in parts) == [2, 2, 2]
+
+
+def test_high_multiplicity_goes_through_the_criterion():
+    s = parse_sorou("+".join(["1:0"] * 12 + ["2:1"] * 12))
+    assert is_minimal_vanishing(s) == MinimalityVerdict(True, False, FAIL_COMMON_SUBVALUE)

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,64 @@ def test_labeled_partitions():
     assert len(parts) == 2
     assert all(len(p) == 2 and all(p) for p in parts)
     assert list(labeled_partitions(f0, 3)) == []
+
+
+def test_labeled_partitions_order():
+    f0 = parse_sorou("1:0+15:2+15:8")
+    assert list(labeled_partitions(f0, 2)) == [
+        (((15, 8),), ((1, 0), (15, 2))),
+        (((15, 2),), ((1, 0), (15, 8))),
+        (((15, 2), (15, 8)), ((1, 0),)),
+        (((1, 0),), ((15, 2), (15, 8))),
+        (((1, 0), (15, 8)), ((15, 2),)),
+        (((1, 0), (15, 2)), ((15, 8),)),
+    ]
+    s = parse_sorou("1:0+1:0+3:1+3:1+3:2")
+    assert list(labeled_partitions(s, 2)) == [
+        (((3, 2),), ((1, 0), (1, 0), (3, 1), (3, 1))),
+        (((3, 1),), ((1, 0), (1, 0), (3, 1), (3, 2))),
+        (((3, 1), (3, 2)), ((1, 0), (1, 0), (3, 1))),
+        (((3, 1), (3, 1)), ((1, 0), (1, 0), (3, 2))),
+        (((3, 1), (3, 1), (3, 2)), ((1, 0), (1, 0))),
+        (((1, 0),), ((1, 0), (3, 1), (3, 1), (3, 2))),
+        (((1, 0), (3, 2)), ((1, 0), (3, 1), (3, 1))),
+        (((1, 0), (3, 1)), ((1, 0), (3, 1), (3, 2))),
+        (((1, 0), (3, 1), (3, 2)), ((1, 0), (3, 1))),
+        (((1, 0), (3, 1), (3, 1)), ((1, 0), (3, 2))),
+        (((1, 0), (3, 1), (3, 1), (3, 2)), ((1, 0),)),
+        (((1, 0), (1, 0)), ((3, 1), (3, 1), (3, 2))),
+        (((1, 0), (1, 0), (3, 2)), ((3, 1), (3, 1))),
+        (((1, 0), (1, 0), (3, 1)), ((3, 1), (3, 2))),
+        (((1, 0), (1, 0), (3, 1), (3, 2)), ((3, 1),)),
+        (((1, 0), (1, 0), (3, 1), (3, 1)), ((3, 2),)),
+    ]
+
+
+def counter_sub_multisets(s, k):
+    """Every count vector c <= multiplicity with sum k, as a sorou."""
+    groups = sorted(Counter(s).items())
+    return {
+        tuple(root for (root, _), c in zip(groups, counts) for _ in range(c))
+        for counts in product(*(range(mult + 1) for _, mult in groups))
+        if sum(counts) == k
+    }
+
+
+# Few distinct roots, so that most draws repeat a term.
+few_roots = [(1, 0), (2, 1), (3, 1), (3, 2), (5, 2)]
+repeated_sorou = st.lists(st.sampled_from(few_roots), min_size=1, max_size=10).map(sorou)
+
+
+@given(repeated_sorou)
+@settings(max_examples=80, deadline=None)
+def test_sub_multiset_streams_match_counter_definition(s):
+    for k in range(weight(s) + 2):
+        subs = list(sub_multisets_of_size(s, k))
+        assert len(subs) == len(set(subs))
+        assert set(subs) == counter_sub_multisets(s, k)
+    subs = list(proper_nonempty_subsorous(s))
+    assert len(subs) == len(set(subs))
+    assert set(subs) == set().union(*(counter_sub_multisets(s, k) for k in range(1, weight(s))))
 
 
 @given(sorou_210, roots_210)
