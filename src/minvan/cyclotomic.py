@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from minvan.arith import divisors, euler_phi
-from minvan.sorou import Sorou, order, subtract
+from minvan.sorou import SUBSET_GUARD_WEIGHT, Sorou, order, subtract
 
 NUMERIC_PREFILTER_LIMIT = 1e-6
 # Error of numeric_value for weight w, with u = 2**-53: each term's angle
@@ -99,6 +99,25 @@ def _monomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
                 row[i] -= carry * phi[i]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@cache
+def _packed_rows(n: int) -> tuple[int, tuple[int, ...]]:
+    """(width, rows): each x^k mod Phi_n packed into one int by signed
+    Kronecker substitution, coefficient i weighted by 2**(i * width).
+
+    Packing is linear, so a sub-sum packs to the sum of its rows.  It is
+    injective on vectors whose coefficients differ by less than 2**width:
+    the lowest nonzero difference would have to be a multiple of 2**width.
+    Sub-sums of at most SUBSET_GUARD_WEIGHT rows therefore pack to equal
+    ints exactly when their residues are equal, and to 0 exactly when zero.
+    """
+    rows = _monomial_rows(n)
+    bound = SUBSET_GUARD_WEIGHT * max(abs(c) for row in rows for c in row)
+    width = (2 * bound).bit_length() + 1
+    if 1 << (width - 1) <= 2 * bound:
+        raise AssertionError(f"packing width {width} does not cover 2 * {bound} plus a sign bit")
+    return width, tuple(sum(c << (i * width) for i, c in enumerate(row)) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ Two independent routes decide whether a vanishing sorou is minimal:
   (i) the smallest part has nonzero value, (ii) no part contains a vanishing
   proper nonempty subsorou, and (iii) the parts share no common proper
   subsorou value.  Subsorou values are compared as exact residues at a common
-  modulus, so condition (iii) is a hash-set intersection of integer vectors.
+  modulus, each packed into one integer, so condition (iii) is a hash-set
+  intersection of packed residues.
 * a definition-level brute force over all proper nonempty sub-multisets,
   kept deliberately naive as the oracle for the criterion path.
 
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 from functools import reduce
 
 from minvan.arith import is_squarefree, prime_factors
-from minvan.cyclotomic import is_vanishing, numeric_value, residue
+from minvan.cyclotomic import _packed_rows, is_vanishing, numeric_value, residue
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
     Sorou,
-    proper_nonempty_subsorous,
     relative_order,
     render_sorou,
     sub_multisets_of_size,
@@ -58,15 +58,21 @@ def top_prime(s: Sorou) -> int:
 
 
 def _proper_subsorou_residues(part: Sorou, modulus: int) -> tuple[bool, frozenset]:
-    """(some proper nonempty subsorou vanishes, set of their residue vectors)."""
-    zero = False
-    values = set()
-    for sub in proper_nonempty_subsorous(part):
-        coeffs = residue(sub, modulus).coefficients
-        if not any(coeffs):
-            zero = True
-        values.add(coeffs)
-    return zero, frozenset(values)
+    """(some proper nonempty subsorou vanishes, set of their packed residues).
+
+    A sub-multiset dynamic program over (count, packed residue) states: each
+    root group (root, mult) in turn adds 0..mult copies of its packed row.
+    """
+    n = weight(part)
+    if n > SUBSET_GUARD_WEIGHT:
+        raise ValueError(f"subset explosion: weight {n} exceeds guard")
+    _, rows = _packed_rows(modulus)
+    states = {(0, 0)}
+    for (o, p), mult in Counter(part).items():
+        row = rows[p * (modulus // o) % modulus]
+        states = {(c + j, v + j * row) for c, v in states for j in range(mult + 1)}
+    values = frozenset(v for c, v in states if 0 < c < n)
+    return 0 in values, values
 
 
 def is_minimal_vanishing(s: Sorou) -> MinimalityVerdict:

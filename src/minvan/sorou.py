@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -30,8 +31,12 @@ MINUS_ONE: Root = (2, 1)
 
 # Subset streams are guarded: Prop-2.3 style checks only ever enumerate
 # subsets of subsidiary parts, whose weights stay well below this in scope.
-# The guard bounds a stream at 2**24 combinations: `combinations` walks every
-# index subset, so repeated terms cost as much as distinct ones.
+# The minimality criterion walks no `combinations`: its sub-multiset DP over
+# packed residues sizes the packing width by this guard.  For the users of
+# `sub_multisets_of_size` (`proper_nonempty_subsorous` and minimality's
+# `_smallest_vanishing`) the guard bounds a stream at 2**24 combinations:
+# `combinations` walks every index subset, so repeated terms cost as much as
+# distinct ones.
 SUBSET_GUARD_WEIGHT = 24
 
 
@@ -163,16 +168,36 @@ def proper_nonempty_subsorous(s: Sorou) -> Iterator[Sorou]:
         yield from sub_multisets_of_size(s, k)
 
 
+@cache
+def _rank_table(n: int) -> tuple[tuple[int, ...], tuple[Root, ...]]:
+    """(rank, roots) for the roots of order dividing n: rank[e] is the place
+    of nu_n^e in (order, power) order, and roots[rank[e]] is that root."""
+    roots = tuple(sorted(make_root(n, e) for e in range(n)))
+    rank = [0] * n
+    for i, (o, p) in enumerate(roots):
+        rank[p * (n // o)] = i
+    return tuple(rank), roots
+
+
 def canonicalize(s: Sorou) -> Sorou:
     """Lexicographic minimum over all term-anchored rotations of s.
 
     Term-anchoring is complete for the rotation orbit: a rotation z*s whose
     sorted term list can be minimal must contain the root 1, which forces z
     to be the inverse of a term.
+
+    Every term and every anchored rotation lives in N = order(s), so terms
+    are exponents mod N and rotating by the inverse of the term nu_N^a
+    subtracts a.  Ranks preserve (order, power) order, so the least sorted
+    rank tuple is the least rotation.
     """
     if not s:
         raise ValueError("empty sorou")
-    return min(rotate(s, root_inv(t)) for t in dict.fromkeys(s))
+    n = order(s)
+    rank, roots = _rank_table(n)
+    es = [p * (n // o) for o, p in s]
+    best = min(tuple(sorted(rank[(e - a) % n] for e in es)) for a in dict.fromkeys(es))
+    return tuple(roots[i] for i in best)
 
 
 def equivalent(s1: Sorou, s2: Sorou) -> bool:

@@ -280,6 +280,35 @@ def test_parity_rotation_invariant(s, z):
     assert parity(r) == p1  # relative order unchanged by rotation
 
 
+def canonicalize_by_definition(s):
+    """Least rotation of s by the inverse of one of its terms."""
+    return min(rotate(s, root_inv(t)) for t in s)
+
+
+# Few roots of mixed orders, so that most draws repeat a term.
+mixed_repeated_sorou = st.lists(roots_210, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)
+).map(sorou)
+
+
+@given(mixed_repeated_sorou, roots_210)
+@settings(max_examples=100, deadline=None)
+def test_canonicalize_matches_definition(s, z):
+    assert canonicalize(s) == canonicalize_by_definition(s)
+    r = rotate(s, make_root(*z))
+    assert canonicalize(r) == canonicalize_by_definition(r)
+
+
+def test_canonicalize_matches_definition_on_database(db16, shared_cache):
+    from minvan.enumeration import sorou_of_minvan_type
+
+    for record in db16.records:
+        for s in sorou_of_minvan_type(record.type.components[0], shared_cache):
+            assert canonicalize(s) == canonicalize_by_definition(s) == s
+            last = rotate(s, root_inv(s[-1]))
+            assert canonicalize(last) == canonicalize_by_definition(last) == s
+
+
 @given(sorou_210)
 @settings(max_examples=60, deadline=None)
 def test_canonicalize_idempotent(s):
