@@ -91,11 +91,13 @@ def _load_cache(db_path: str) -> enumeration.SorouCache:
     return enumeration.SorouCache()
 
 
-def _extend_to(db: store.TypeDatabase, db_path: str, target: int, cfg_kwargs: dict) -> None:
+def _extend_to(db: store.TypeDatabase, db_path: str, target: int) -> None:
+    """Generate weights up to target; the database header says whether to
+    collapse Galois families."""
     cache = _load_cache(db_path)
     for w in range(db.max_complete_weight + 1, target + 1):
         start = time.monotonic()
-        cfg = typegen.GenerationConfig(target_weight=w, **cfg_kwargs)
+        cfg = typegen.GenerationConfig(target_weight=w, enable_conjugate_collapse=db.collapse)
         new_types = typegen.generate_next_weight(db, cfg, cache)
         records = [enumeration.type_statistics(m, cache) for m in new_types]
         db.commit_weight(w, records)
@@ -107,7 +109,7 @@ def _extend_to(db: store.TypeDatabase, db_path: str, target: int, cfg_kwargs: di
 
 def cmd_bootstrap(args) -> int:
     db = store.TypeDatabase(collapse=True)
-    _extend_to(db, args.db, 12, {})
+    _extend_to(db, args.db, 12)
     for w, expected in BOOTSTRAP_FIXTURE.items():
         got = frozenset(render_type(r.type) for r in db.records_for_weight(w))
         if got != expected:
@@ -124,13 +126,7 @@ def cmd_extend(args) -> int:
     if db.max_complete_weight >= args.to:
         print(f"database already complete through {db.max_complete_weight}")
         return 0
-    cfg_kwargs = dict(
-        enable_minvan_subtype_filter=not args.no_minvan_filter,
-        enable_conjugate_collapse=not args.no_conjugate_collapse,
-    )
-    if db.collapse == args.no_conjugate_collapse:
-        raise SystemExit("error: database collapse flag contradicts requested flags")
-    _extend_to(db, args.db, args.to, cfg_kwargs)
+    _extend_to(db, args.db, args.to)
     return 0
 
 
@@ -254,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="extend the classification to a higher weight")
     p.add_argument("--db", default=_default_db_path())
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--no-minvan-filter", action="store_true")
-    p.add_argument("--no-conjugate-collapse", action="store_true")
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("verify", help="certify one sorou and infer its type")

@@ -16,7 +16,7 @@ module and is transparent to results.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import product
 
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
@@ -26,10 +26,8 @@ from minvan.sorou import (
     distinct_permutations,
     from_subsidiary,
     height,
-    labeled_partitions,
     parity,
     relative_order,
-    rotate,
     subtract,
     weight,
 )
@@ -37,7 +35,7 @@ from minvan.types import (
     MinVanType,
     TypeRecord,
     TypeSum,
-    _embedding_rotations,
+    _anchored_sums,
     render_type,
     type_weight,
     weight_partition,
@@ -61,15 +59,6 @@ class SorouCache:
         return dict(self._classes)
 
 
-def _anchored_variants(pool, f0: Sorou) -> list[Sorou]:
-    """All rotations of the pooled sorou that contain f0, deduplicated."""
-    seen = dict()
-    for h in pool:
-        for z in _embedding_rotations(h, f0):
-            seen.setdefault(rotate(h, z), None)
-    return sorted(seen)
-
-
 def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[Sorou]:
     """All sorou of type t containing f0, deduplicated by exact equality
     (the anchored f0 breaks rotation symmetry)."""
@@ -77,24 +66,10 @@ def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[
         return list(sorou_of_minvan_type(t.components[0], cache))
     key = (render_type(t), f0)
     hit = cache._anchored.get(key)
-    if hit is not None:
-        return list(hit)
-    m = len(t.components)
-    out: dict[Sorou, None] = {}
-    if m <= weight(f0):
-        comp_classes = [sorou_of_minvan_type(c, cache) for c in t.components]
-        for parts in labeled_partitions(f0, m):
-            per_component = [
-                _anchored_variants(classes, part)
-                for part, classes in zip(parts, comp_classes)
-            ]
-            if not all(per_component):
-                continue
-            for pieces in product(*per_component):
-                out.setdefault(tuple(sorted(chain.from_iterable(pieces))), None)
-    result = tuple(sorted(out))
-    cache._anchored.setdefault(key, result)
-    return list(result)
+    if hit is None:
+        pools = [sorou_of_minvan_type(c, cache) for c in t.components]
+        hit = cache._anchored.setdefault(key, tuple(sorted(_anchored_sums(pools, f0))))
+    return list(hit)
 
 
 def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
@@ -105,8 +80,8 @@ def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
     slot_options: dict[TypeSum, list[Sorou]] = {}
     for t in m.subtypes:
         if t not in slot_options:
-            variants = _anchored_variants(sorou_of_typesum_anchored(t, f0, cache), f0)
-            slot_options[t] = [subtract(f0, v) for v in variants]
+            pool = sorou_of_typesum_anchored(t, f0, cache)
+            slot_options[t] = [subtract(f0, v) for v in sorted(_anchored_sums([pool], f0))]
     labels = list(m.subtypes)
     if anchor and labels:
         placements = (

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
-from minvan.arith import is_squarefree, prime_factors
+from minvan.arith import is_squarefree
 from minvan.cyclotomic import _packed_rows, is_vanishing, numeric_value, residue
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
@@ -49,12 +49,7 @@ class MinimalityVerdict:
 
 
 def top_prime(s: Sorou) -> int:
-    r = relative_order(s)
-    if not is_squarefree(r):
-        raise ValueError("top prime undefined: relative order not squarefree")
-    if r == 1:
-        raise ValueError("no top prime: relative order 1")
-    return prime_factors(r)[-1]
+    return to_subsidiary(s).top_prime
 
 
 def _proper_subsorou_residues(part: Sorou, modulus: int) -> tuple[bool, frozenset]:

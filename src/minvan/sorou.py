@@ -109,13 +109,19 @@ def order(s: Sorou) -> int:
 
 
 def relative_order(s: Sorou) -> int:
-    # The lcm of all ratio orders equals the order of any term-anchored
-    # rotation, since every ratio is a quotient of anchored ratios.
-    return order(rotate(s, root_inv(s[0]))) if s else _raise_empty()
+    """Order of the group generated by the term ratios of s: with terms
+    nu_N^e_i, N = order(s), the subgroup of Z/N spanned by e_i - e_0."""
+    n = order(s)
+    es = [p * (n // o) for o, p in s]
+    return n // math.gcd(n, *(e - es[0] for e in es))
 
 
-def _raise_empty():
-    raise ValueError("empty sorou")
+def _anchor(s: Sorou) -> tuple[Sorou, int]:
+    """(s rotated to take its first term to 1, relative_order(s))."""
+    if not s:
+        raise ValueError("empty sorou")
+    rep = rotate(s, root_inv(s[0]))
+    return rep, order(rep)
 
 
 def parity(s: Sorou) -> tuple[int, int]:
@@ -124,10 +130,9 @@ def parity(s: Sorou) -> tuple[int, int]:
     Computed on a rotation representative whose order equals the relative
     order; defined only when that order is squarefree.
     """
-    r = relative_order(s)
+    rep, r = _anchor(s)
     if not is_squarefree(r):
         raise ValueError("parity undefined: relative order not squarefree")
-    rep = rotate(s, root_inv(s[0]))
     odd = sum(1 for o, _ in rep if o % 2)
     return (max(odd, len(rep) - odd), min(odd, len(rep) - odd))
 
@@ -232,12 +237,11 @@ class SubsidiaryDecomposition:
 def to_subsidiary(s: Sorou) -> SubsidiaryDecomposition:
     """Decompose s at its top prime, normalized so that f_0 is a nonempty
     part of minimal weight containing the root 1."""
-    r = relative_order(s)
+    rep, r = _anchor(s)
     if not is_squarefree(r):
         raise ValueError("subsidiary decomposition undefined: relative order not squarefree")
     if r == 1:
         raise ValueError("no top prime: relative order 1")
-    rep = rotate(s, root_inv(s[0]))
     p = prime_factors(r)[-1]
     buckets: list[list[Root]] = [[] for _ in range(p)]
     for t in rep:

@@ -8,11 +8,13 @@ the slot may simply repeat f0).  One representative sorou is assembled per
 candidate type and certified with the subsidiary criterion; survivors form
 the complete list for weight W.
 
-Two pruning rules from the derivation are exposed as flags: a candidate must
-contain at least one minimal subsidiary type, and types are collapsed to one
-representative per Galois family (the classification table's y-parameter
-grouping).  A closed-form generator for relative orders dividing 2pq serves
-as an independent oracle.
+Two pruning rules from the derivation are `GenerationConfig` fields of the
+library, not command-line flags: a candidate must contain at least one
+minimal subsidiary type, and types are collapsed to one representative per
+Galois family (the classification table's y-parameter grouping).  The CLI
+reads the collapse setting from the database header and always filters.  A
+closed-form generator for relative orders dividing 2pq serves as an
+independent oracle.
 """
 
 from __future__ import annotations

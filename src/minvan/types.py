@@ -15,10 +15,11 @@ rationals, subtype count, subtypes recursively).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, product
 
 from minvan.arith import is_prime, primes_below, units
 from minvan.minimality import _smallest_vanishing, decompose_into_minimal, is_minimal_vanishing
@@ -29,7 +30,6 @@ from minvan.sorou import (
     SubsidiaryDecomposition,
     canonicalize,
     from_subsidiary,
-    is_subsorou,
     labeled_partitions,
     make_root,
     parse_sorou,
@@ -266,50 +266,53 @@ def render_type_latex(t: TypeSum, nested: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# representatives
+# anchoring at f0 (shared with enumeration) and representatives
 
 
-def _embedding_rotations(v: Sorou, target: Sorou):
-    """Rotations z with target a subsorou of z*v; candidates are exactly the
-    quotients of target's first term by the terms of v."""
-    tau = target[0]
+def _rotations_containing(pool, target: Sorou):
+    """The distinct rotations z*v of members v of pool that contain target.
+
+    The candidates z are exactly the quotients of target's first term by the
+    terms of v, and z*v contains target iff v contains target/z, so only the
+    hits rotate v."""
+    tau_inv = root_inv(target[0])
     seen = set()
-    for w in dict.fromkeys(v):
-        z = root_mul(tau, root_inv(w))
-        if z not in seen:
-            seen.add(z)
-            if is_subsorou(target, rotate(v, z)):
-                yield z
+    for v in pool:
+        counts = Counter(v)
+        for w in counts:
+            u = root_mul(w, tau_inv)  # 1/z
+            if Counter(rotate(target, u)) <= counts:
+                r = rotate(v, root_inv(u))
+                if r not in seen:
+                    seen.add(r)
+                    yield r
 
 
-def _anchored_subtype_sorou(t: TypeSum, f0: Sorou) -> Sorou:
-    """One sorou of type t containing f0 as a subsorou."""
-    if t.is_minimal_claim:
-        v = representative_sorou(t)
-        for z in _embedding_rotations(v, f0):
-            return rotate(v, z)
-        raise ValueError(f"unrealizable assembly: {render_type(t)} cannot contain {render_sorou(f0)}")
-    m = len(t.components)
-    if m > weight(f0):
-        raise ValueError("unrealizable assembly: more minimal parts than f0 terms")
-    for parts in labeled_partitions(f0, m):
-        pieces = []
-        for part, comp in zip(parts, t.components):
-            v = _minvan_representative(comp)
-            z = next(_embedding_rotations(v, part), None)
-            if z is None:
-                break
-            pieces.append(rotate(v, z))
-        else:
-            return tuple(sorted(chain.from_iterable(pieces)))
-    raise ValueError(f"unrealizable assembly: {render_type(t)} cannot contain {render_sorou(f0)}")
+def _anchored_sums(pools, f0: Sorou):
+    """Each distinct sorou made of one rotation of a member of every pool,
+    the i-th rotation containing the i-th part of a labeled partition of f0
+    into nonempty parts; lazily, partition by partition."""
+    seen = set()
+    for parts in labeled_partitions(f0, len(pools)):
+        per_part = [_rotations_containing(pool, part) for pool, part in zip(pools, parts)]
+        for pieces in product(*per_part):
+            s = tuple(sorted(chain.from_iterable(pieces)))
+            if s not in seen:
+                seen.add(s)
+                yield s
 
 
 @cache
 def _minvan_representative(m: MinVanType) -> Sorou:
     slots = [m.f0] * m.p
     for i, t in enumerate(m.subtypes, start=1):
-        slots[i] = subtract(m.f0, _anchored_subtype_sorou(t, m.f0))
+        pools = [[_minvan_representative(c)] for c in t.components]
+        v = next(_anchored_sums(pools, m.f0), None)
+        if v is None:
+            raise ValueError(
+                f"unrealizable assembly: {render_type(t)} cannot contain {render_sorou(m.f0)}"
+            )
+        slots[i] = subtract(m.f0, v)
     return from_subsidiary(SubsidiaryDecomposition(m.p, tuple(slots)))
 
 

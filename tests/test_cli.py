@@ -85,9 +85,26 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["extend"])  # --to is required
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["extend", "--to", "13", "--threads", "2"])  # no such option
-    assert err.value.code == 2
+    for removed in (["--threads", "2"], ["--no-conjugate-collapse"], ["--no-minvan-filter"]):
+        with pytest.raises(SystemExit) as err:
+            main(["extend", "--to", "13", *removed])  # no such option
+        assert err.value.code == 2
+
+
+def test_extend_reads_collapse_from_the_database(tmp_path, capsys):
+    from conftest import build_database
+
+    from minvan.enumeration import SorouCache
+    from minvan.store import save_db
+
+    # Weight 15 is the first weight where the family collapse merges types.
+    path = str(tmp_path / "uncollapsed.db")
+    save_db(build_database(14, SorouCache(), enable_conjugate_collapse=False), path)
+    assert main(["extend", "--db", path, "--to", "15"]) == 0
+    assert "weight 15: 15 types" in capsys.readouterr().out
+    db = load_db(path)
+    assert not db.collapse
+    assert db.max_complete_weight == 15
 
 
 def test_enumerate_command(db_path, capsys):

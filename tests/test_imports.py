@@ -1,0 +1,39 @@
+"""Every library module uses each name it imports.
+
+A stdlib stand-in for a linter's unused-import rule, so that deleting code
+leaves no dead imports behind.  ``__init__.py`` is exempt: its imports are
+the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import minvan
+
+MODULES = sorted(p for p in Path(minvan.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_detects_an_unused_import():
+    source = "import os\nfrom math import gcd, lcm\nprint(gcd(4, 6))\n"
+    assert unused_imports(source) == ["line 1: os", "line 2: lcm"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_its_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -45,8 +45,12 @@ def test_top_prime():
     assert top_prime(R2) == 2
     assert top_prime(H6) == 5
     assert top_prime(weight21_height2_sorou()) == 7
-    with pytest.raises(ValueError):
-        top_prime(sorou([(1, 0)]))
+    for s in (sorou([(1, 0)]), sorou([(3, 1), (3, 1)])):
+        with pytest.raises(ValueError, match="relative order 1"):
+            top_prime(s)
+    for s in (sorou([(1, 0), (4, 1)]), sorou([(1, 0), (2, 1), (9, 1)])):
+        with pytest.raises(ValueError, match="not squarefree"):
+            top_prime(s)
 
 
 def test_minimal_examples():

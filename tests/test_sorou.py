@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minvan.arith import is_squarefree, prime_factors
 from minvan.cyclotomic import is_vanishing, residue
+from minvan.minimality import top_prime
 from minvan.sorou import (
     ONE,
     canonicalize,
@@ -69,6 +71,11 @@ def test_relative_order_examples():
     assert relative_order(sorou([(5, 1), (15, 8)])) == 3
     assert relative_order(sorou([(1, 0), (2, 1)])) == 2
     assert relative_order(H6) == 30
+    assert relative_order(sorou([(4, 1), (12, 7)])) == 3
+    assert relative_order(sorou([(9, 2), (9, 2)])) == 1
+    for f in (relative_order, parity, to_subsidiary):
+        with pytest.raises(ValueError, match="empty sorou"):
+            f(())
 
 
 def test_weight_height():
@@ -278,6 +285,43 @@ def test_parity_rotation_invariant(s, z):
     except ValueError:
         return
     assert parity(r) == p1  # relative order unchanged by rotation
+
+
+def relative_order_by_definition(s):
+    """Order of the rotation of s that takes its first term to 1."""
+    return order(rotate(s, root_inv(s[0])))
+
+
+def parity_by_definition(s):
+    """(max, min) count of odd- and even-order terms of that rotation."""
+    rep = rotate(s, root_inv(s[0]))
+    odd = sum(1 for o, _ in rep if o % 2)
+    return (max(odd, len(rep) - odd), min(odd, len(rep) - odd))
+
+
+# Few roots of mixed orders, squarefree or not, so that most draws repeat a term.
+divisors_2520 = [d for d in range(1, 2521) if 2520 % d == 0]
+roots_2520 = st.tuples(st.sampled_from(divisors_2520), st.integers(0, 2519))
+mixed_order_sorou = st.lists(roots_2520, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)
+).map(sorou)
+
+
+@given(mixed_order_sorou)
+@settings(max_examples=200, deadline=None)
+def test_relative_order_parity_and_top_prime_match_definitions(s):
+    r = relative_order_by_definition(s)
+    assert relative_order(s) == r
+    if is_squarefree(r):
+        assert parity(s) == parity_by_definition(s)
+    else:
+        with pytest.raises(ValueError, match="not squarefree"):
+            parity(s)
+    if r > 1 and is_squarefree(r):
+        assert top_prime(s) == prime_factors(r)[-1]
+    else:
+        with pytest.raises(ValueError):
+            top_prime(s)
 
 
 def canonicalize_by_definition(s):

@@ -1,9 +1,10 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
 from minvan.minimality import is_minimal_vanishing
-from minvan.sorou import equivalent, parse_sorou, weight
+from minvan.sorou import equivalent, parse_sorou, render_sorou, weight
 from minvan.types import (
     MinVanType,
     TypeSum,
@@ -87,6 +88,43 @@ def test_representative_examples():
     fam = representative_sorou(T(M(7, T(R5), f0=NU5)))
     assert weight(fam) == 15
     assert is_minimal_vanishing(fam).minimal
+
+
+# representative_sorou is the certification fast path and feeds the verify
+# benchmark's query stream, so its exact output is pinned: the sha256 of one
+# "<type> <sorou>" line per record of the weight <= 16 table, in database
+# order, and a few records in full (one with a sum subtype).
+REPRESENTATIVES_DB16_SHA256 = "d714ccfbe22cc45f09ed7281800ade0270384b7b5ceaba789ba40ac38f2db243"
+PINNED_REPRESENTATIVES = {
+    "(R5;1:0;(R3;1:0))": "1:0+5:2+5:3+5:4+30:1+30:11",
+    "(R7;1:0;(R5;1:0;(R3;1:0));(R5;1:0;(R3;1:0)))": (
+        "1:0+7:3+7:4+7:5+7:6+70:3+70:13+70:17+70:27+70:31+70:41+105:1+105:16+105:71+105:86"
+    ),
+    "(R7;1:0+30:1;(R5;1:0;(R3;1:0)))": (
+        "1:0+7:2+7:3+7:4+7:5+7:6+30:1+70:3+70:17+70:31+105:1+210:67+210:97+210:127+210:157"
+        "+210:187"
+    ),
+    "(R7;1:0+5:1;(R3;1:0)&(R2;1:0);(R5;1:0))": (
+        "1:0+5:1+7:1+7:3+7:4+7:5+7:6+35:2+35:22+35:27+35:32+70:13+70:27+70:41+210:37+210:107"
+    ),
+}
+
+
+def test_representatives_pinned(db16):
+    text = "".join(
+        f"{render_type(r.type)} {render_sorou(representative_sorou(r.type))}\n"
+        for r in db16.records
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == REPRESENTATIVES_DB16_SHA256
+    for t, s in PINNED_REPRESENTATIVES.items():
+        assert representative_sorou(parse_type(t)) == parse_sorou(s)
+
+
+def test_unrealizable_representative_raises():
+    # No rotation of the (R5 : R3, R3) representative contains 1 + nu_15.
+    t = parse_type("(R7;1:0+15:1;(R5;1:0;(R3;1:0);(R3;1:0)))")
+    with pytest.raises(ValueError, match="unrealizable assembly"):
+        representative_sorou(t)
 
 
 def test_representative_weight_matches_type(db16):
