@@ -1,15 +1,40 @@
-"""Exact cyclotomic arithmetic: Phi_n over the integers and sorou residues.
+"""Exact cyclotomic arithmetic: Phi_n over the integers, sorou residues and
+the vanishing test.
 
-Vanishing is decided exactly.  Each term nu_o^p of a sorou of order N lifts
-to the monomial x^(p*N/o); the sum of those monomials reduces modulo Phi_N to
-a unique integer vector of length phi(N), which is zero exactly when the
-complex value is zero (Gauss's lemma: Phi_N divides an integer polynomial
-over Q iff it does over Z).
+Vanishing is decided exactly by descending the cyclotomic tower (de Bruijn
+1953; Lam-Leung 2000), with no cyclotomic polynomial built.  A sorou of
+order N is a map from exponents e mod N to integer multiplicities of
+zeta_N^e.  Let p be the smallest prime of N and M = N/p:
 
-A floating-point prefilter may skip the reduction: up to PREFILTER_MAX_WEIGHT
-terms the rounding error of the floating sum stays far below 1e-6, so
-|numeric| >= 1e-6 proves the value nonzero.  The exact test remains the
-authority whenever the numeric value is small or the sorou is heavier.
+* if p | M, then [Q(zeta_N) : Q(zeta_M)] = p, so 1, zeta_N, ..., zeta_N^(p-1)
+  is a basis of Q(zeta_N) over Q(zeta_M); the sum vanishes iff each group of
+  terms with the same exponent mod p vanishes at order M;
+* if p does not divide M, then Q(zeta_N) = Q(zeta_M)(zeta_p) with zeta_p of
+  degree p - 1 over Q(zeta_M), so the only linear relation over Q(zeta_M)
+  among 1, zeta_p, ..., zeta_p^(p-1) is that their sum is zero.  As
+  zeta_p * zeta_M is a primitive N-th root of unity, the automorphism
+  taking zeta_N to it turns zeta_N^e into zeta_p^(e mod p) zeta_M^(e mod M)
+  and preserves vanishing.  So, with g_j the terms of exponent j mod p
+  read at order M, the sum vanishes iff every g_j - g_0 vanishes at order M
+  (at M = 1: iff all p coefficients are equal);
+* at order 1 the sum is an integer.
+
+The recursion is at most as deep as the number of prime factors of N.  Any
+prime of N would do; peeling the smallest first leaves the largest, whose
+p - 1 differences cost the most, to the integer test at the leaf.
+
+Residues modulo Phi_N remain for other uses: each term nu_o^p lifts to the
+monomial x^(p*N/o), and the sum reduces modulo Phi_N to a unique integer
+vector of length phi(N), zero exactly when the complex value is zero
+(Gauss's lemma: Phi_N divides an integer polynomial over Q iff it does over
+Z).  The minimality criterion compares part values as residues at a small
+modulus.
+
+A floating-point prefilter may skip the exact test: up to
+PREFILTER_MAX_WEIGHT terms the rounding error of the floating sum stays far
+below 1e-6, so |numeric| >= 1e-6 proves the value nonzero.  The exact test
+remains the authority whenever the numeric value is small or the sorou is
+heavier.
 """
 
 from __future__ import annotations
@@ -18,7 +43,7 @@ import cmath
 from dataclasses import dataclass
 from functools import cache
 
-from minvan.arith import divisors, euler_phi
+from minvan.arith import divisors, euler_phi, prime_factors
 from minvan.sorou import SUBSET_GUARD_WEIGHT, Sorou, order, subtract
 
 NUMERIC_PREFILTER_LIMIT = 1e-6
@@ -157,13 +182,66 @@ def numeric_value(s: Sorou) -> complex:
     return sum(map(_unit_value, *zip(*s))) if s else 0j
 
 
+def _tower_vanishes(terms: dict[int, int], n: int) -> bool:
+    """Whether sum(c * zeta_n**e for e, c in terms.items()) is zero, for a
+    nonempty map of nonzero integer coefficients c, by peeling the smallest
+    prime p of n (see the module docstring)."""
+    if n == 1:
+        return sum(terms.values()) == 0
+    p = prime_factors(n)[0]
+    m = n // p
+    if m == 1:
+        # 1, zeta_p, ..., zeta_p^(p-1) satisfy only the relation "sum = 0"
+        return len(terms) == p and len(set(terms.values())) == 1
+    groups: list[dict[int, int]] = [{} for _ in range(p)]
+    if m % p == 0:
+        # zeta_n^e = zeta_n^(e mod p) * zeta_m^(e // p)
+        for e, c in terms.items():
+            groups[e % p][e // p] = c
+        return all(_tower_vanishes(g, m) for g in groups if g)
+    # zeta_p * zeta_m is a primitive n-th root of unity, so replacing zeta_n
+    # by it is a field automorphism, which preserves vanishing
+    for e, c in terms.items():
+        groups[e % p][e % m] = c
+    g0 = groups[0]
+    for g in groups[1:]:
+        if g == g0:
+            continue
+        diff = dict(g)
+        for e, c in g0.items():
+            d = diff.get(e, 0) - c
+            if d:
+                diff[e] = d
+            else:
+                del diff[e]
+        if diff and not _tower_vanishes(diff, m):
+            return False
+    return True
+
+
 def is_vanishing(s: Sorou) -> bool:
-    """Exact vanishing test (numeric shortcut only when provably safe)."""
+    """Exact vanishing test, descending the cyclotomic tower of order(s).
+
+    Up to PREFILTER_MAX_WEIGHT terms, a floating value of modulus >= 1e-6
+    proves s nonzero.  Otherwise, with N = order(s) and p its smallest prime:
+    when p divides M = N/p, zeta_N^0..zeta_N^(p-1) are a basis over
+    Q(zeta_M), so each class of exponents mod p must vanish at order M;
+    otherwise, up to the automorphism zeta_N -> zeta_p * zeta_M, s is
+    sum_j zeta_p^j g_j with g_j in Q(zeta_M), where 1 + zeta_p + ... +
+    zeta_p^(p-1) = 0 is the only relation, so every g_j - g_0 must vanish at
+    order M.  Order 1 is an integer test.  No cyclotomic polynomial or
+    residue table is built.
+    """
     if not s:
         raise ValueError("empty sorou")
     if len(s) <= PREFILTER_MAX_WEIGHT and abs(numeric_value(s)) >= NUMERIC_PREFILTER_LIMIT:
         return False
-    return residue(s).is_zero()
+    n = order(s)
+    terms: dict[int, int] = {}
+    for o, p in s:
+        e = p * (n // o)
+        terms[e] = terms.get(e, 0) + 1
+    return _tower_vanishes(terms, n)
 
 
 def values_equal(s1: Sorou, s2: Sorou) -> bool:

@@ -60,8 +60,16 @@ class SorouCache:
 
 
 def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[Sorou]:
-    """All sorou of type t containing f0, deduplicated by exact equality
-    (the anchored f0 breaks rotation symmetry)."""
+    """For a sum of two or more types, all sorou of type t containing f0,
+    deduplicated by exact equality (the anchored f0 breaks rotation
+    symmetry).
+
+    For a minimal-claim t (one component) it returns the component's
+    rotation classes unanchored, as sorou_of_minvan_type lists them, so they
+    need not contain f0: for (R5) and f0 = 1:0+15:2 it returns
+    [1:0+5:1+5:2+5:3+5:4].  Callers that need f0 anchor the result
+    themselves, as _iter_assembled does with _anchored_sums.
+    """
     if t.is_minimal_claim:
         return list(sorou_of_minvan_type(t.components[0], cache))
     key = (render_type(t), f0)

@@ -1,16 +1,19 @@
-"""Micro-benchmarks of the hot kernels on fixed weight-16 inputs.
+"""Micro-benchmarks of the hot kernels on fixed weight-16 inputs, and of the
+exact vanishing test on order-4620 sums.
 
 Run with pytest-benchmark (skipped when it is absent); a few rounds each, so
 the suite's time barely moves.  `pytest tests/test_benchmarks.py
 --benchmark-only` shows the table; `--benchmark-autosave` keeps a run.
 """
 
+import math
+
 import pytest
 
-from minvan.cyclotomic import residue
+from minvan.cyclotomic import is_vanishing, residue
 from minvan.enumeration import sorou_of_minvan_type
 from minvan.minimality import is_minimal_vanishing
-from minvan.sorou import canonicalize, root_inv, rotate
+from minvan.sorou import canonicalize, make_root, order, parse_sorou, root_inv, rotate
 
 pytest.importorskip("pytest_benchmark")
 
@@ -29,6 +32,21 @@ def weight16_classes(db16, shared_cache):
     ][::10]
 
 
+@pytest.fixture(scope="module")
+def quarter_turn_sums():
+    """(R_5:R_3) rotated by nu_4620^a plus R_7 rotated a quarter turn
+    further, for the first 20 units a: vanishing sums of order 4620."""
+    n = 4620
+    r5r3, r7 = parse_sorou("5:1+5:2+5:3+5:4+6:1+6:5"), parse_sorou("1:0+7:1+7:2+7:3+7:4+7:5+7:6")
+    units = [a for a in range(1, n) if math.gcd(a, n) == 1][:20]
+    sums = [
+        tuple(sorted(rotate(r5r3, make_root(n, a)) + rotate(r7, make_root(n, a + n // 4))))
+        for a in units
+    ]
+    assert all(order(s) == n for s in sums)
+    return sums
+
+
 def run(benchmark, fn, inputs):
     return benchmark.pedantic(lambda: [fn(s) for s in inputs], rounds=ROUNDS, iterations=1)
 
@@ -45,3 +63,11 @@ def test_bench_canonicalize(benchmark, weight16_classes):
 def test_bench_is_minimal_vanishing(benchmark, weight16_classes):
     verdicts = run(benchmark, is_minimal_vanishing, weight16_classes)
     assert all(v.minimal for v in verdicts)
+
+
+def test_bench_is_vanishing(benchmark, weight16_classes):
+    assert all(run(benchmark, is_vanishing, weight16_classes))
+
+
+def test_bench_is_vanishing_order_4620(benchmark, quarter_turn_sums):
+    assert all(run(benchmark, is_vanishing, quarter_turn_sums))

@@ -1,17 +1,25 @@
 import random
+import time
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minvan.arith import euler_phi
+import minvan.cyclotomic as cyclotomic
+from minvan.arith import divisors, euler_phi, prime_factors
 from minvan.cyclotomic import (
     IntPolynomial,
+    _monomial_rows,
     cyclotomic_poly,
     is_vanishing,
     numeric_value,
     residue,
     values_equal,
 )
-from minvan.sorou import parse_sorou, sorou
+from minvan.minimality import FAIL_INNER_VANISHING, is_minimal_vanishing
+from minvan.sorou import order, parse_sorou, relative_order, sorou
 
 
 def naive_poly_mul(a, b):
@@ -92,21 +100,86 @@ def test_is_vanishing_examples():
 
 
 def test_heavy_sorou_skips_the_prefilter(monkeypatch):
-    import minvan.cyclotomic as cyclotomic
-
     calls = []
+    tower = cyclotomic._tower_vanishes
 
-    def counted(s, modulus=None):
-        calls.append(len(s))
-        return residue(s, modulus)
+    def counted(terms, n):
+        calls.append(sum(terms.values()))
+        return tower(terms, n)
 
-    monkeypatch.setattr(cyclotomic, "residue", counted)
+    monkeypatch.setattr(cyclotomic, "_tower_vanishes", counted)
     at_limit = ((1, 0),) * cyclotomic.PREFILTER_MAX_WEIGHT
     assert not is_vanishing(at_limit)
     assert calls == []  # decided by the prefilter
     heavier = ((1, 0),) * 10_000
     assert not is_vanishing(heavier)
     assert calls == [10_000]
+
+
+def phi_caches():
+    return cyclotomic_poly.cache_info(), _monomial_rows.cache_info()
+
+
+# Orders whose Phi rows the residue oracle builds quickly, most of them not
+# squarefree, so that both tower steps (p | N/p and p not dividing N/p) occur.
+TOWER_ORDERS = (4, 8, 9, 12, 18, 24, 25, 27, 30, 36, 45, 50, 60, 72, 90, 98, 100, 105, 120, 180, 210, 252, 360, 420)
+
+
+@st.composite
+def planted_sorou(draw):
+    """Rotated R_p (p | n) plus, unless the draw is to vanish, a few free
+    terms of orders dividing n, drawn from a small pool so that they repeat."""
+    n = draw(st.sampled_from(TOWER_ORDERS))
+    terms = []
+    if draw(st.integers(0, 1)):
+        root = st.tuples(st.sampled_from(divisors(n)), st.integers(0, n - 1))
+        pool = draw(st.lists(root, min_size=1, max_size=3))
+        terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    plant = st.tuples(st.sampled_from(prime_factors(n)), st.integers(0, n - 1))
+    for p, a in draw(st.lists(plant, min_size=0 if terms else 1, max_size=3)):
+        terms += [(n, a + k * n // p) for k in range(p)]
+    return sorou(terms)
+
+
+@given(planted_sorou())
+@settings(max_examples=300, deadline=None)
+def test_tower_test_matches_residue(s):
+    expected = residue(s).is_zero()
+    before = phi_caches()
+    assert is_vanishing(s) == expected
+    with mock.patch.object(cyclotomic, "PREFILTER_MAX_WEIGHT", 0):
+        assert is_vanishing(s) == expected  # the tower test alone
+    assert phi_caches() == before
+
+
+def test_order_34650_decided_without_phi():
+    n = 34650  # 2 * 3^2 * 5^2 * 7 * 11
+    s = sorou([(n, 1 + k * n // 7) for k in range(7)] + [(n, 2 + k * n // 11) for k in range(11)])
+    assert order(s) == relative_order(s) == n
+    before = phi_caches()
+    tracemalloc.start()
+    start = time.perf_counter()
+    verdict = is_minimal_vanishing(s)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert verdict.failing_condition == FAIL_INNER_VANISHING
+    assert elapsed < 1.0
+    assert peak < 100 * 2**20
+    assert phi_caches() == before
+
+
+def test_values_equal_at_order_4620():
+    n = 4620  # 2^2 * 3 * 5 * 7 * 11
+    # nu^a (nu_5 + ... + nu_5^4) + nu^b (nu_7 + ... + nu_7^6) = -nu^a - nu^b
+    a, b = 1, 1 + n // 4
+    s1 = sorou([(n, a + k * n // 5) for k in range(1, 5)] + [(n, b + k * n // 7) for k in range(1, 7)])
+    s2 = sorou([(n, a + n // 2), (n, b + n // 2)])
+    assert order(s1) == order(s2) == n
+    before = phi_caches()
+    assert values_equal(s1, s2)
+    assert not values_equal(s1[1:], s2)
+    assert phi_caches() == before
 
 
 def test_values_equal():
