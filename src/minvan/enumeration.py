@@ -9,6 +9,12 @@ terms are split among the minimal components, each component rotated to
 contain its share — any sorou missing that property could only assemble into
 a non-minimal parent.
 
+Each assembly is decided minimal or not on its slots, which are the parts
+of its subsidiary decomposition (minimality.assembly_criterion), so the
+certification fallback builds no sorou of the candidate type, and
+statistics enumerate a type once and ask the criterion about no class.
+Each (subtype, f0) pair's slot options are built once per cache.
+
 Results are deduplicated by canonical form (true rotation classes) and
 memoized per rendered type; the memo can be persisted through the store
 module and is transparent to results.
@@ -16,9 +22,9 @@ module and is transparent to results.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
-from minvan.minimality import is_minimal_vanishing
+from minvan.minimality import assembly_criterion
 from minvan.sorou import (
     Sorou,
     SubsidiaryDecomposition,
@@ -43,11 +49,12 @@ from minvan.types import (
 
 
 class SorouCache:
-    """Memo of rotation-class lists keyed by rendered type."""
+    """Memo of rotation-class lists keyed by rendered type, and of the slot
+    options of each (subtype, f0) pair."""
 
     def __init__(self, data: dict[str, tuple[Sorou, ...]] | None = None):
         self._classes: dict[str, tuple[Sorou, ...]] = dict(data or {})
-        self._anchored: dict[tuple[str, Sorou], tuple[Sorou, ...]] = {}
+        self._slots: dict[tuple[str, Sorou], tuple[Sorou, ...]] = {}
 
     def get(self, key: str) -> tuple[Sorou, ...] | None:
         return self._classes.get(key)
@@ -60,36 +67,35 @@ class SorouCache:
 
 
 def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[Sorou]:
-    """For a sum of two or more types, all sorou of type t containing f0,
-    deduplicated by exact equality (the anchored f0 breaks rotation
-    symmetry).
+    """The distinct rotations of sorou of type t that contain f0, sorted.
 
-    For a minimal-claim t (one component) it returns the component's
-    rotation classes unanchored, as sorou_of_minvan_type lists them, so they
-    need not contain f0: for (R5) and f0 = 1:0+15:2 it returns
-    [1:0+5:1+5:2+5:3+5:4].  Callers that need f0 anchor the result
-    themselves, as _iter_assembled does with _anchored_sums.
+    For a minimal-claim t these are the rotations of its classes.  For a sum
+    of two or more types, the sums whose every component holds a nonempty
+    share of f0 are built first, and then rotated the same way.
     """
-    if t.is_minimal_claim:
-        return list(sorou_of_minvan_type(t.components[0], cache))
+    pools = [sorou_of_minvan_type(c, cache) for c in t.components]
+    pool = pools[0] if t.is_minimal_claim else sorted(_anchored_sums(pools, f0))
+    return sorted(_anchored_sums([pool], f0))
+
+
+def _slot_options(t: TypeSum, f0: Sorou, cache: SorouCache) -> tuple[Sorou, ...]:
+    """The slots f0 - v that subtype t offers, built once per cache."""
     key = (render_type(t), f0)
-    hit = cache._anchored.get(key)
+    hit = cache._slots.get(key)
     if hit is None:
-        pools = [sorou_of_minvan_type(c, cache) for c in t.components]
-        hit = cache._anchored.setdefault(key, tuple(sorted(_anchored_sums(pools, f0))))
-    return list(hit)
+        options = tuple(subtract(f0, v) for v in sorou_of_typesum_anchored(t, f0, cache))
+        hit = cache._slots.setdefault(key, options)
+    return hit
 
 
-def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
-    """Lazily yield canonical forms of every slot assembly of type m
-    (duplicates possible across assemblies)."""
+def _assemblies(m: MinVanType, cache: SorouCache, anchor: bool = True):
+    """Lazily yield (slots, minimal) for every slot assembly of type m of
+    the right weight; the sorou is sum_j nu_p^j slots[j], never built here.
+    Minimality is decided on the slots (see minimality.assembly_criterion)."""
     p, f0 = m.p, m.f0
     target = type_weight(TypeSum((m,)))
-    slot_options: dict[TypeSum, list[Sorou]] = {}
-    for t in m.subtypes:
-        if t not in slot_options:
-            pool = sorou_of_typesum_anchored(t, f0, cache)
-            slot_options[t] = [subtract(f0, v) for v in sorted(_anchored_sums([pool], f0))]
+    slot_options = {t: _slot_options(t, f0, cache) for t in m.subtypes}
+    minimal = assembly_criterion(p, f0, chain.from_iterable(slot_options.values()))
     labels = list(m.subtypes)
     if anchor and labels:
         placements = (
@@ -99,11 +105,17 @@ def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
     else:
         placements = distinct_permutations(labels + [None] * (p - len(labels)))
     for placement in placements:
-        pools = [slot_options[t] if t is not None else [f0] for t in placement]
+        pools = [slot_options[t] if t is not None else (f0,) for t in placement]
         for slots in product(*pools):
-            g = from_subsidiary(SubsidiaryDecomposition(p, slots))
-            if weight(g) == target:
-                yield canonicalize(g)
+            if sum(map(weight, slots)) == target:
+                yield slots, minimal(slots)
+
+
+def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
+    """Lazily yield (canonical form, minimal) for every slot assembly of
+    type m (duplicates possible across assemblies)."""
+    for slots, minimal in _assemblies(m, cache, anchor):
+        yield canonicalize(from_subsidiary(SubsidiaryDecomposition(m.p, slots))), minimal
 
 
 def sorou_of_minvan_type(
@@ -115,7 +127,7 @@ def sorou_of_minvan_type(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    result = tuple(sorted(set(_iter_assembled(m, cache, anchor))))
+    result = tuple(sorted(dict(_iter_assembled(m, cache, anchor))))
     if anchor:
         cache.put(key, result)
     return result
@@ -123,27 +135,21 @@ def sorou_of_minvan_type(
 
 def has_minimal_realization(m: MinVanType, cache: SorouCache) -> bool:
     """True when some sorou of type m is minimal vanishing; stops at the
-    first witness rather than materializing the class list."""
-    key = render_type(TypeSum((m,)))
-    hit = cache.get(key)
-    candidates = hit if hit is not None else _iter_assembled(m, cache)
-    seen = set()
-    for g in candidates:
-        if g in seen:
-            continue
-        seen.add(g)
-        if is_minimal_vanishing(g).minimal:
-            return True
-    return False
+    first witness and builds no sorou of type m."""
+    return any(minimal for _, minimal in _assemblies(m, cache))
 
 
 def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
-    """Enumerate m, filter to minimal vanishing realizations, and aggregate
-    parities, heights, relative orders and the equisigned flag."""
-    classes = sorou_of_minvan_type(m, cache)
-    minimal = [s for s in classes if is_minimal_vanishing(s).minimal]
+    """Enumerate m once, store its class list in the cache, and aggregate
+    the parities, heights, relative orders and equisigned flag of its
+    minimal vanishing realizations."""
+    key = render_type(TypeSum((m,)))
+    verdicts = dict(_iter_assembled(m, cache))
+    classes = tuple(sorted(verdicts))
+    cache.put(key, classes)
+    minimal = [s for s in classes if verdicts[s]]
     if not minimal:
-        raise ValueError(f"type has no minimal realization: {render_type(TypeSum((m,)))}")
+        raise ValueError(f"type has no minimal realization: {key}")
     w = type_weight(TypeSum((m,)))
     for s in minimal:
         if weight(s) != w:

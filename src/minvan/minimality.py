@@ -11,6 +11,12 @@ Two independent routes decide whether a vanishing sorou is minimal:
 * a definition-level brute force over all proper nonempty sub-multisets,
   kept deliberately naive as the oracle for the criterion path.
 
+Enumeration reads conditions (ii) and (iii) directly on the slots it
+assembles (`assembly_criterion`), which are the subsidiary parts up to a
+cyclic shift and a common rotation; `is_minimal_vanishing` stays the
+authority for `verify`, for certifying a candidate's representative and in
+the tests.
+
 A vanishing sorou whose relative order is not squarefree cannot be minimal
 (Mann), so it is refused without decomposing.
 """
@@ -21,12 +27,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable, Iterable
 
-from minvan.arith import is_squarefree
+from minvan.arith import is_squarefree, primes_below
 from minvan.cyclotomic import _packed_rows, is_vanishing, numeric_value, residue
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
     Sorou,
+    SubsidiaryDecomposition,
+    from_subsidiary,
+    order,
     relative_order,
     render_sorou,
     sub_multisets_of_size,
@@ -95,6 +105,50 @@ def is_minimal_vanishing(s: Sorou) -> MinimalityVerdict:
     if all(value_sets) and reduce(frozenset.intersection, value_sets):
         return MinimalityVerdict(True, False, FAIL_COMMON_SUBVALUE)
     return MinimalityVerdict(True, True, None)
+
+
+def assembly_criterion(
+    p: int, f0: Sorou, options: Iterable[Sorou]
+) -> Callable[[tuple[Sorou, ...]], bool]:
+    """The minimality test of g = sum_j nu_p^j slots[j], read on the slots.
+
+    Every slot is f0 or one of `options`, each f0 - v for a vanishing v that
+    contains f0, so every slot has f0's value, which is nonzero.  When f0
+    and every option have order dividing Q, the product of the primes below
+    p, g has squarefree relative order with top prime p and the parts of
+    to_subsidiary(g) are its slots up to a cyclic shift and one common
+    rotation.  Conditions (ii) and (iii) of the criterion do not change
+    under either, so g is minimal iff no slot has a vanishing proper
+    subsorou and the slots share no proper subsorou value.  Some slot is f0,
+    since a type has at most p - 1 subtypes, so a shared value is one of
+    f0's: each distinct slot keeps only the values it shares with f0,
+    computed once, on first use, at the lcm of all slot orders.
+
+    Slots outside Q only occur in types built by hand, such as (R3 : R3);
+    their assemblies g are built and given to is_minimal_vanishing.
+    """
+    distinct = {f0, *options}
+    q = math.prod(primes_below(p))
+    if any(q % order(x) for x in distinct):
+        return lambda slots: is_minimal_vanishing(
+            from_subsidiary(SubsidiaryDecomposition(p, slots))
+        ).minimal
+    modulus = math.lcm(*map(order, distinct))
+    f0_values = _proper_subsorou_residues(f0, modulus)[1]
+    shared: dict[Sorou, frozenset | None] = {}  # None: a proper subsorou vanishes
+
+    def minimal(slots: tuple[Sorou, ...]) -> bool:
+        common = f0_values
+        for x in set(slots):
+            if x not in shared:
+                zero, values = _proper_subsorou_residues(x, modulus)
+                shared[x] = None if zero else values & f0_values
+            if shared[x] is None:
+                return False
+            common = common & shared[x]
+        return not common
+
+    return minimal
 
 
 def is_minimal_vanishing_bruteforce(s: Sorou) -> bool:

@@ -120,7 +120,7 @@ def _anchor(s: Sorou) -> tuple[Sorou, int]:
     """(s rotated to take its first term to 1, relative_order(s))."""
     if not s:
         raise ValueError("empty sorou")
-    rep = rotate(s, root_inv(s[0]))
+    rep = s if s[0] == ONE else rotate(s, root_inv(s[0]))
     return rep, order(rep)
 
 

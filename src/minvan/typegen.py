@@ -5,8 +5,10 @@ positive parts is considered.  The smallest part is the weight of f0; each
 other part x needs a subsidiary type of weight x + w(f0) drawn from sums of
 already-classified minimal types with top prime below p (or, when x = w(f0),
 the slot may simply repeat f0).  One representative sorou is assembled per
-candidate type and certified with the subsidiary criterion; survivors form
-the complete list for weight W.
+candidate type and certified with the subsidiary criterion; when that one
+assembly is not minimal, the candidate's assemblies are decided on their
+slots until one is minimal.  Survivors form the complete list for weight W.
+Each subtype pool is built once per generated weight.
 
 Two pruning rules from the derivation are `GenerationConfig` fields of the
 library, not command-line flags: a candidate must contain at least one
@@ -19,9 +21,11 @@ independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
+from typing import Iterator
 
 from minvan.arith import primes_below, primes_upto, units
 from minvan.enumeration import SorouCache, has_minimal_realization
@@ -134,16 +138,16 @@ def _is_pure_r2_sum(t: TypeSum) -> bool:
     return all(m.p == 2 and not m.subtypes for m in t.components)
 
 
-def _subtype_combos(parts: tuple[int, ...], p: int, f0: Sorou, db, cfg: GenerationConfig):
-    """Candidate subtype multisets for the slot weights beyond slot 0."""
+def _subtype_combos(parts: tuple[int, ...], p: int, pool, cfg: GenerationConfig):
+    """Candidate subtype multisets for the slot weights beyond slot 0;
+    pool(total_weight, p, max_components) lists the subtypes to draw."""
     w0 = parts[0]
     value_counts: dict[int, int] = {}
     for x in parts[1:]:
         value_counts[x] = value_counts.get(x, 0) + 1
     per_value = []
     for x in sorted(value_counts):
-        pool = [t for t in typesum_pool(x + w0, p, w0, db) if not _is_pure_r2_sum(t)]
-        options: list[TypeSum | None] = list(pool)
+        options: list[TypeSum | None] = list(pool(x + w0, p, w0))
         if x == w0:
             options.append(None)  # slot repeats f0
         if not options:
@@ -157,12 +161,39 @@ def _subtype_combos(parts: tuple[int, ...], p: int, f0: Sorou, db, cfg: Generati
         yield subtypes
 
 
+def _candidates(db, cfg: GenerationConfig) -> Iterator[MinVanType]:
+    """Every candidate type of weight cfg.target_weight, before
+    certification.  Each subtype pool is built once per call."""
+    w1 = cfg.target_weight
+
+    @functools.cache
+    def pool(total_weight: int, p: int, max_components: int) -> list[TypeSum]:
+        return [
+            t for t in typesum_pool(total_weight, p, max_components, db) if not _is_pure_r2_sum(t)
+        ]
+
+    for p in primes_upto(w1):
+        for partition in partitions_into_parts(w1, p):
+            parts = tuple(sorted(partition))
+            if all(x == 1 for x in parts):
+                yield MinVanType(p, (ONE,))
+                continue
+            for f0 in candidate_f0s(parts[0], p, cfg):
+                for subtypes in _subtype_combos(parts, p, pool, cfg):
+                    try:
+                        m = MinVanType(p, f0, subtypes)
+                    except ValueError:
+                        continue
+                    yield m
+
+
 def _certify(candidate: MinVanType, target_weight: int, cache: SorouCache) -> bool:
     """A candidate type survives iff some sorou of that type is minimal
     vanishing of the right weight.  The deterministic representative is the
     fast path; if its particular assembly fails (or cannot be anchored at
-    all) the full assembly space decides, reading the subtypes' classes from
-    cache.  The candidate's own class list is never stored there."""
+    all) the full assembly space decides on slots, reading the subtypes'
+    classes from cache.  The candidate's own class list is never stored
+    there."""
     if minvan_weight(candidate) != target_weight:
         return False
     try:
@@ -188,22 +219,8 @@ def generate_next_weight(
         raise ValueError(
             f"database complete through {db.max_complete_weight}, cannot generate weight {w1}"
         )
-    candidates: list[MinVanType] = []
-    for p in primes_upto(w1):
-        for partition in partitions_into_parts(w1, p):
-            parts = tuple(sorted(partition))
-            if all(x == 1 for x in parts):
-                candidates.append(MinVanType(p, (ONE,)))
-                continue
-            for f0 in candidate_f0s(parts[0], p, cfg):
-                for subtypes in _subtype_combos(parts, p, f0, db, cfg):
-                    try:
-                        candidates.append(MinVanType(p, f0, subtypes))
-                    except ValueError:
-                        continue
-
     out: dict = {}
-    for m in candidates:
+    for m in _candidates(db, cfg):
         if not _certify(m, w1, cache):
             continue
         t = TypeSum((m,))

@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the hot kernels on fixed weight-16 inputs, and of the
-exact vanishing test on order-4620 sums.
+"""Micro-benchmarks of the hot kernels on fixed weight-16 inputs, of the
+statistics of the weight-16 types, and of the exact vanishing test on
+order-4620 sums.
 
 Run with pytest-benchmark (skipped when it is absent); a few rounds each, so
 the suite's time barely moves.  `pytest tests/test_benchmarks.py
@@ -11,7 +12,7 @@ import math
 import pytest
 
 from minvan.cyclotomic import is_vanishing, residue
-from minvan.enumeration import sorou_of_minvan_type
+from minvan.enumeration import sorou_of_minvan_type, type_statistics
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import canonicalize, make_root, order, parse_sorou, root_inv, rotate
 
@@ -30,6 +31,12 @@ def weight16_classes(db16, shared_cache):
         if record.weight == 16
         for s in sorou_of_minvan_type(record.type.components[0], shared_cache)
     ][::10]
+
+
+@pytest.fixture(scope="module")
+def weight16_records(db16):
+    """The 23 weight-16 records, statistics included."""
+    return [record for record in db16.records if record.weight == 16]
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +78,8 @@ def test_bench_is_vanishing(benchmark, weight16_classes):
 
 def test_bench_is_vanishing_order_4620(benchmark, quarter_turn_sums):
     assert all(run(benchmark, is_vanishing, quarter_turn_sums))
+
+
+def test_bench_type_statistics(benchmark, weight16_records, shared_cache):
+    types = [record.type.components[0] for record in weight16_records]
+    assert run(benchmark, lambda m: type_statistics(m, shared_cache), types) == weight16_records

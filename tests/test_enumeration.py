@@ -1,21 +1,29 @@
+from collections import Counter
+
 import pytest
 
+import minvan.enumeration as enumeration
 from minvan.enumeration import (
     SorouCache,
+    _assemblies,
+    has_minimal_realization,
     sorou_of_minvan_type,
     sorou_of_typesum_anchored,
     type_statistics,
 )
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
+    SubsidiaryDecomposition,
     canonicalize,
+    from_subsidiary,
     is_subsorou,
     parity,
     parse_sorou,
     sorou,
     weight,
 )
-from minvan.types import parse_type
+from minvan.typegen import GenerationConfig, _candidates
+from minvan.types import parse_type, render_minvan, render_type
 
 from table1_fixture import M, T, R2, R3, R5, R5_R3
 
@@ -129,3 +137,50 @@ def test_missing_realization_raises(shared_cache):
     bad = M(3, T(R3))
     with pytest.raises(ValueError):
         type_statistics(bad, SorouCache())
+
+
+def test_slot_verdicts_match_the_criterion(db16, shared_cache):
+    # Every assembly of every certification candidate through weight 17 is
+    # decided on its slots; the criterion on the assembled sorou must agree.
+    # (R3 : R3) has slots of order 6, outside the product of the primes
+    # below 3, so its one assembly takes the guarded branch.
+    candidates = [
+        m for w in range(2, 18) for m in _candidates(db16, GenerationConfig(target_weight=w))
+    ]
+    failures = Counter()
+    for m in candidates + [M(3, T(R3))]:
+        for slots, minimal in _assemblies(m, shared_cache):
+            verdict = is_minimal_vanishing(from_subsidiary(SubsidiaryDecomposition(m.p, slots)))
+            assert minimal == verdict.minimal, (render_minvan(m), slots)
+            failures[verdict.failing_condition] += 1
+    assert failures == {
+        None: 16148,
+        "inner-vanishing-subsorou": 18,
+        "common-subvalue": 9,
+        "value-zero-f0": 1,  # (R3 : R3)
+    }
+
+
+def _refuse(*args):
+    raise AssertionError("unexpected call")
+
+
+def test_fallback_builds_no_sorou(monkeypatch, db16, shared_cache):
+    # Each type's own class list is left out of the cache, so the fallback
+    # must assemble it; only its subtypes' lists are read.
+    classes = shared_cache.as_dict()
+    for name in ("canonicalize", "from_subsidiary"):
+        monkeypatch.setattr(enumeration, name, _refuse)
+    for record in db16.records:
+        key = render_type(record.type)
+        cache = SorouCache({k: v for k, v in classes.items() if k != key})
+        assert has_minimal_realization(record.type.components[0], cache)
+    assert not has_minimal_realization(M(3, T(R3)), shared_cache)
+
+
+def test_statistics_ask_the_criterion_about_no_class(monkeypatch, db16, shared_cache):
+    import minvan.minimality as minimality
+
+    monkeypatch.setattr(minimality, "is_minimal_vanishing", _refuse)
+    for record in db16.records_for_weight(15):
+        assert type_statistics(record.type.components[0], shared_cache) == record
