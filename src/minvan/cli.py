@@ -97,7 +97,7 @@ def _extend_to(db: store.TypeDatabase, db_path: str, target: int) -> None:
     cache = _load_cache(db_path)
     for w in range(db.max_complete_weight + 1, target + 1):
         start = time.monotonic()
-        cfg = typegen.GenerationConfig(target_weight=w, enable_conjugate_collapse=db.collapse)
+        cfg = typegen.GenerationConfig(target_weight=w)
         new_types = typegen.generate_next_weight(db, cfg, cache)
         records = [enumeration.type_statistics(m, cache) for m in new_types]
         db.commit_weight(w, records)

@@ -14,8 +14,7 @@ Two independent routes decide whether a vanishing sorou is minimal:
 Enumeration reads conditions (ii) and (iii) directly on the slots it
 assembles (`assembly_criterion`), which are the subsidiary parts up to a
 cyclic shift and a common rotation; `is_minimal_vanishing` stays the
-authority for `verify`, for certifying a candidate's representative and in
-the tests.
+authority for `verify` and in the tests.
 
 A vanishing sorou whose relative order is not squarefree cannot be minimal
 (Mann), so it is refused without decomposing.

@@ -12,6 +12,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from minvan.sorou import Sorou, parse_sorou, render_sorou
 from minvan.types import (
@@ -60,12 +61,13 @@ class TypeDatabase:
         return out
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks, in order, to a temp file and rename it to path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minvan-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -110,7 +112,7 @@ def save_db(db: TypeDatabase, path: str) -> None:
                 ]
             )
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n",))
 
 
 def load_db(path: str) -> TypeDatabase:
@@ -166,16 +168,17 @@ def load_db(path: str) -> TypeDatabase:
 
 
 def save_cache(classes: dict[str, tuple[Sorou, ...]], path: str) -> None:
-    lines = []
-    for key in sorted(classes):
-        lines.append(key + "\t" + ",".join(render_sorou(s) for s in classes[key]))
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+    """One line per type key, streamed: the cache is never held as text."""
+    _atomic_write(
+        path, (k + "\t" + ",".join(map(render_sorou, classes[k])) + "\n" for k in sorted(classes))
+    )
 
 
 def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
     out: dict[str, tuple[Sorou, ...]] = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
             if not line:
                 continue
             key, sep, rest = line.partition("\t")
@@ -217,7 +220,7 @@ def csv_report_text(db: TypeDatabase) -> str:
 
 
 def write_csv_report(db: TypeDatabase, path: str) -> None:
-    _atomic_write(path, csv_report_text(db))
+    _atomic_write(path, (csv_report_text(db),))
 
 
 def latex_report_text(db: TypeDatabase) -> str:
@@ -253,4 +256,4 @@ def latex_report_text(db: TypeDatabase) -> str:
 
 
 def write_latex_report(db: TypeDatabase, path: str) -> None:
-    _atomic_write(path, latex_report_text(db))
+    _atomic_write(path, (latex_report_text(db),))

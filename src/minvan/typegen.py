@@ -4,19 +4,15 @@ For the next weight W, every prime p <= W and every partition of W into p
 positive parts is considered.  The smallest part is the weight of f0; each
 other part x needs a subsidiary type of weight x + w(f0) drawn from sums of
 already-classified minimal types with top prime below p (or, when x = w(f0),
-the slot may simply repeat f0).  One representative sorou is assembled per
-candidate type and certified with the subsidiary criterion; when that one
-assembly is not minimal, the candidate's assemblies are decided on their
-slots until one is minimal.  Survivors form the complete list for weight W.
-Each subtype pool is built once per generated weight.
+the slot may simply repeat f0).  A candidate must contain at least one
+minimal subsidiary type.  Each candidate is certified on its assemblies'
+slots, stopping at the first minimal one; survivors form the complete list
+for weight W.  Each subtype pool is built once per generated weight.
 
-Two pruning rules from the derivation are `GenerationConfig` fields of the
-library, not command-line flags: a candidate must contain at least one
-minimal subsidiary type, and types are collapsed to one representative per
-Galois family (the classification table's y-parameter grouping).  The CLI
-reads the collapse setting from the database header and always filters.  A
-closed-form generator for relative orders dividing 2pq serves as an
-independent oracle.
+Whether types are collapsed to one representative per Galois family (the
+classification table's y-parameter grouping) is read from the database
+header.  A closed-form generator for relative orders dividing 2pq serves as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import Iterator
 
 from minvan.arith import primes_below, primes_upto, units
 from minvan.enumeration import SorouCache, has_minimal_realization
-from minvan.minimality import _smallest_vanishing, is_minimal_vanishing
+from minvan.minimality import _smallest_vanishing
 from minvan.sorou import (
     ONE,
     Sorou,
@@ -43,7 +39,6 @@ from minvan.types import (
     family_representative,
     minvan_key,
     minvan_weight,
-    representative_sorou,
     sum_key,
 )
 
@@ -51,8 +46,6 @@ from minvan.types import (
 @dataclass(frozen=True)
 class GenerationConfig:
     target_weight: int
-    enable_minvan_subtype_filter: bool = True
-    enable_conjugate_collapse: bool = True
 
     def __post_init__(self):
         if self.target_weight < 2:
@@ -83,10 +76,11 @@ def _f0_family_representative(f0: Sorou) -> Sorou:
     )
 
 
-def candidate_f0s(w: int, p: int, cfg: GenerationConfig) -> list[Sorou]:
+def candidate_f0s(w: int, p: int, collapse: bool) -> list[Sorou]:
     """Weight-w candidates for the smallest subsidiary sorou at top prime p:
     1 + nu_Q^{e_1} + ... over the full exponent range, Q the product of
-    primes below p, excluding any f0 with a vanishing nonempty subsorou."""
+    primes below p, excluding any f0 with a vanishing nonempty subsorou;
+    with collapse, one f0 per Galois family."""
     if w == 1:
         return [(ONE,)]
     q = math.prod(primes_below(p))
@@ -98,7 +92,7 @@ def candidate_f0s(w: int, p: int, cfg: GenerationConfig) -> list[Sorou]:
         if weight(f0) != w or _smallest_vanishing(f0):
             continue
         out.add(canonicalize(f0))
-    if cfg.enable_conjugate_collapse:
+    if collapse:
         out = {_f0_family_representative(f0) for f0 in out}
     return sorted(out)
 
@@ -138,9 +132,10 @@ def _is_pure_r2_sum(t: TypeSum) -> bool:
     return all(m.p == 2 and not m.subtypes for m in t.components)
 
 
-def _subtype_combos(parts: tuple[int, ...], p: int, pool, cfg: GenerationConfig):
+def _subtype_combos(parts: tuple[int, ...], p: int, pool):
     """Candidate subtype multisets for the slot weights beyond slot 0;
-    pool(total_weight, p, max_components) lists the subtypes to draw."""
+    pool(total_weight, p, max_components) lists the subtypes to draw.  A
+    nonempty multiset needs at least one minimal subtype."""
     w0 = parts[0]
     value_counts: dict[int, int] = {}
     for x in parts[1:]:
@@ -155,15 +150,15 @@ def _subtype_combos(parts: tuple[int, ...], p: int, pool, cfg: GenerationConfig)
         per_value.append(list(combinations_with_replacement(options, value_counts[x])))
     for chosen in product(*per_value):
         subtypes = tuple(t for group in chosen for t in group if t is not None)
-        if cfg.enable_minvan_subtype_filter and subtypes:
-            if not any(t.is_minimal_claim for t in subtypes):
-                continue
+        if subtypes and not any(t.is_minimal_claim for t in subtypes):
+            continue
         yield subtypes
 
 
 def _candidates(db, cfg: GenerationConfig) -> Iterator[MinVanType]:
     """Every candidate type of weight cfg.target_weight, before
-    certification.  Each subtype pool is built once per call."""
+    certification, Galois-collapsed if db.collapse.  Each subtype pool is
+    built once per call."""
     w1 = cfg.target_weight
 
     @functools.cache
@@ -178,8 +173,8 @@ def _candidates(db, cfg: GenerationConfig) -> Iterator[MinVanType]:
             if all(x == 1 for x in parts):
                 yield MinVanType(p, (ONE,))
                 continue
-            for f0 in candidate_f0s(parts[0], p, cfg):
-                for subtypes in _subtype_combos(parts, p, pool, cfg):
+            for f0 in candidate_f0s(parts[0], p, db.collapse):
+                for subtypes in _subtype_combos(parts, p, pool):
                     try:
                         m = MinVanType(p, f0, subtypes)
                     except ValueError:
@@ -187,21 +182,12 @@ def _candidates(db, cfg: GenerationConfig) -> Iterator[MinVanType]:
                     yield m
 
 
-def _certify(candidate: MinVanType, target_weight: int, cache: SorouCache) -> bool:
+def _certify(candidate: MinVanType, cache: SorouCache) -> bool:
     """A candidate type survives iff some sorou of that type is minimal
-    vanishing of the right weight.  The deterministic representative is the
-    fast path; if its particular assembly fails (or cannot be anchored at
-    all) the full assembly space decides on slots, reading the subtypes'
-    classes from cache.  The candidate's own class list is never stored
-    there."""
-    if minvan_weight(candidate) != target_weight:
-        return False
-    try:
-        rep = representative_sorou(TypeSum((candidate,)))
-    except ValueError:
-        rep = None
-    if rep is not None and weight(rep) == target_weight and is_minimal_vanishing(rep).minimal:
-        return True
+    vanishing; its assemblies are decided on their slots, reading the
+    subtypes' classes from cache.  The candidate's own class list is never
+    stored there.  `perfbench/spans.py` counts candidates and fallbacks by
+    the calls to this function."""
     return has_minimal_realization(candidate, cache)
 
 
@@ -211,7 +197,8 @@ def generate_next_weight(
     """All minimal vanishing types of cfg.target_weight, given a database
     complete through target_weight - 1.  Pass the cache that statistics use
     so certification reuses its class lists; None starts a fresh one.  The
-    cache never changes the result."""
+    cache never changes the result.  Galois families are collapsed iff the
+    database header says so (db.collapse)."""
     if cache is None:
         cache = SorouCache()
     w1 = cfg.target_weight
@@ -221,10 +208,10 @@ def generate_next_weight(
         )
     out: dict = {}
     for m in _candidates(db, cfg):
-        if not _certify(m, w1, cache):
+        if not _certify(m, cache):
             continue
         t = TypeSum((m,))
-        if cfg.enable_conjugate_collapse:
+        if db.collapse:
             t = family_representative(t)
         out[sum_key(t)] = t.components[0]
     return [out[k] for k in sorted(out)]
@@ -254,7 +241,7 @@ def types_2pq_oracle(
                     cand = MinVanType(q, f0, (rp,) * nj)
                 except ValueError:
                     continue
-                if _certify(cand, minvan_weight(cand), cache):
+                if _certify(cand, cache):
                     found.append(cand)
     out: dict = {}
     for m in found:

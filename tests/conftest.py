@@ -7,12 +7,11 @@ from minvan.store import TypeDatabase
 from minvan.typegen import GenerationConfig, generate_next_weight
 
 
-def build_database(max_weight: int, cache: SorouCache, **cfg_kwargs) -> TypeDatabase:
+def build_database(max_weight: int, cache: SorouCache, collapse: bool = True) -> TypeDatabase:
     start = time.monotonic()
-    db = TypeDatabase(collapse=cfg_kwargs.get("enable_conjugate_collapse", True))
+    db = TypeDatabase(collapse=collapse)
     for w in range(2, max_weight + 1):
-        cfg = GenerationConfig(target_weight=w, **cfg_kwargs)
-        new_types = generate_next_weight(db, cfg, cache)
+        new_types = generate_next_weight(db, GenerationConfig(target_weight=w), cache)
         db.commit_weight(w, [type_statistics(m, cache) for m in new_types])
     db.build_seconds = time.monotonic() - start
     return db

@@ -99,7 +99,7 @@ def test_extend_reads_collapse_from_the_database(tmp_path, capsys):
 
     # Weight 15 is the first weight where the family collapse merges types.
     path = str(tmp_path / "uncollapsed.db")
-    save_db(build_database(14, SorouCache(), enable_conjugate_collapse=False), path)
+    save_db(build_database(14, SorouCache(), collapse=False), path)
     assert main(["extend", "--db", path, "--to", "15"]) == 0
     assert "weight 15: 15 types" in capsys.readouterr().out
     db = load_db(path)
@@ -157,7 +157,7 @@ def test_env_var_default_db(db_path, monkeypatch, capsys):
 
 
 def test_verify_agrees_with_stored_statistics(db16, capsys):
-    from minvan.sorou import height, parity, render_sorou, weight
+    from minvan.sorou import height, parity, render_sorou
     from minvan.types import representative_sorou
 
     for record in db16.records:

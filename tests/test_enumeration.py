@@ -23,7 +23,7 @@ from minvan.sorou import (
     weight,
 )
 from minvan.typegen import GenerationConfig, _candidates
-from minvan.types import parse_type, render_minvan, render_type
+from minvan.types import minvan_weight, parse_type, render_minvan, render_type
 
 from table1_fixture import M, T, R2, R3, R5, R5_R3
 
@@ -143,10 +143,13 @@ def test_slot_verdicts_match_the_criterion(db16, shared_cache):
     # Every assembly of every certification candidate through weight 17 is
     # decided on its slots; the criterion on the assembled sorou must agree.
     # (R3 : R3) has slots of order 6, outside the product of the primes
-    # below 3, so its one assembly takes the guarded branch.
-    candidates = [
-        m for w in range(2, 18) for m in _candidates(db16, GenerationConfig(target_weight=w))
-    ]
+    # below 3, so its one assembly takes the guarded branch.  Every
+    # candidate has the target weight, so certification checks no weight.
+    candidates = []
+    for w in range(2, 18):
+        for m in _candidates(db16, GenerationConfig(target_weight=w)):
+            assert minvan_weight(m) == w, render_minvan(m)
+            candidates.append(m)
     failures = Counter()
     for m in candidates + [M(3, T(R3))]:
         for slots, minimal in _assemblies(m, shared_cache):

@@ -1,4 +1,4 @@
-"""Every library module uses each name it imports.
+"""Every library module, test file and demo uses each name it imports.
 
 A stdlib stand-in for a linter's unused-import rule, so that deleting code
 leaves no dead imports behind.  ``__init__.py`` is exempt: its imports are
@@ -13,6 +13,8 @@ import pytest
 import minvan
 
 MODULES = sorted(p for p in Path(minvan.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,4 +38,9 @@ def test_detects_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []

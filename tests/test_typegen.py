@@ -1,7 +1,9 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
+from minvan.arith import primes_upto
+from minvan.enumeration import has_minimal_realization
 from minvan.sorou import canonicalize, sorou
 from minvan.typegen import (
     GenerationConfig,
@@ -11,11 +13,7 @@ from minvan.typegen import (
     types_2pq_oracle,
     typesum_pool,
 )
-from minvan.types import TypeSum, render_type
-
-
-
-CFG13 = GenerationConfig(target_weight=13)
+from minvan.types import MinVanType, TypeSum, render_minvan, render_type
 
 
 def brute_force_partitions(n, k):
@@ -37,13 +35,12 @@ def test_partitions_examples():
 
 
 def test_candidate_f0s_weight1():
-    assert candidate_f0s(1, 7, CFG13) == [((1, 0),)]
-    assert candidate_f0s(1, 2, CFG13) == [((1, 0),)]
+    assert candidate_f0s(1, 7, True) == [((1, 0),)]
+    assert candidate_f0s(1, 2, True) == [((1, 0),)]
 
 
 def test_candidate_f0s_weight2_top7():
-    cfg = GenerationConfig(target_weight=15, enable_conjugate_collapse=False)
-    f0s = candidate_f0s(2, 7, cfg)
+    f0s = candidate_f0s(2, 7, False)
     assert sorou([(1, 0), (5, 1)]) in f0s
     assert sorou([(1, 0), (3, 1)]) in f0s
     assert sorou([(1, 0), (30, 1)]) in f0s  # 1 - nu_3 nu_5
@@ -52,7 +49,7 @@ def test_candidate_f0s_weight2_top7():
     expected = {canonicalize(sorou([(1, 0), (30, e)])) for e in range(1, 30) if e != 15}
     assert set(f0s) == expected
     assert len(f0s) == 14
-    collapsed = candidate_f0s(2, 7, GenerationConfig(target_weight=15))
+    collapsed = candidate_f0s(2, 7, True)
     assert len(collapsed) == 6  # one per Galois orbit: orders 30,15,10,6,5,3
 
 
@@ -62,10 +59,9 @@ def test_uncollapsed_generation_counts(db16, shared_cache):
     from minvan.enumeration import type_statistics
     from minvan.store import TypeDatabase
 
-    cfg = dict(enable_conjugate_collapse=False)
     db = TypeDatabase(collapse=False)
     for w in range(2, 16):
-        new = generate_next_weight(db, GenerationConfig(target_weight=w, **cfg))
+        new = generate_next_weight(db, GenerationConfig(target_weight=w))
         db.commit_weight(w, [type_statistics(m, shared_cache) for m in new])
     assert len(db.records_for_weight(15)) == 15
     assert [len(db.records_for_weight(w)) for w in range(2, 15)] == [
@@ -204,14 +200,39 @@ def test_oracle_agrees_with_generator(db16):
     assert generated == oracle
 
 
-def test_minvan_filter_flag_no_effect_at_small_weight(db16, shared_cache):
-    # with the filter off the same weight-13 list must emerge
+def test_minvan_filter_drops_only_uncertifiable_candidates(db16, shared_cache):
+    # Generation drops a candidate whose subtypes are all sums.  Build the
+    # weight-13 candidates it drops, from the same pools and f0s, and check
+    # that none of them has a minimal realization.
     db12 = _truncated(db16, 12)
-    on = generate_next_weight(db12, GenerationConfig(target_weight=13))
-    off = generate_next_weight(
-        db12, GenerationConfig(target_weight=13, enable_minvan_subtype_filter=False)
-    )
-    assert on == off
+    w = 13
+    dropped = set()
+    for p in primes_upto(w):
+        for partition in partitions_into_parts(w, p):
+            parts = tuple(sorted(partition))
+            w0 = parts[0]
+            slots = []  # as in generation, no pool holds a sum of R_2s only
+            for x in parts[1:]:
+                sums = [
+                    t
+                    for t in typesum_pool(x + w0, p, w0, db12)
+                    if not t.is_minimal_claim
+                    and not all(m.p == 2 and not m.subtypes for m in t.components)
+                ]
+                slots.append(sums + [None] if x == w0 else sums)
+            for f0 in candidate_f0s(w0, p, db12.collapse):
+                for chosen in product(*slots):
+                    subtypes = tuple(t for t in chosen if t is not None)
+                    if not subtypes:
+                        continue
+                    try:
+                        dropped.add(MinVanType(p, f0, subtypes))
+                    except ValueError:
+                        continue
+    # all four have top prime 5 and an f0 of weight 2
+    assert len(dropped) == 4
+    for m in dropped:
+        assert not has_minimal_realization(m, shared_cache), render_minvan(m)
 
 
 def test_every_generated_type_passes_both_minimality_paths(db16):

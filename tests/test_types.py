@@ -90,8 +90,8 @@ def test_representative_examples():
     assert is_minimal_vanishing(fam).minimal
 
 
-# representative_sorou is the certification fast path and feeds the verify
-# benchmark's query stream, so its exact output is pinned: the sha256 of one
+# representative_sorou feeds the verify benchmark's query stream and demo 04,
+# so its exact output is pinned: the sha256 of one
 # "<type> <sorou>" line per record of the weight <= 16 table, in database
 # order, and a few records in full (one with a sum subtype).
 REPRESENTATIVES_DB16_SHA256 = "d714ccfbe22cc45f09ed7281800ade0270384b7b5ceaba789ba40ac38f2db243"
