@@ -15,6 +15,11 @@ certification fallback builds no sorou of the candidate type, and
 statistics enumerate a type once and ask the criterion about no class.
 Each (subtype, f0) pair's slot options are built once per cache.
 
+An assembled sorou is never built as (order, power) roots: each assembly
+of a type is a list of exponents mod one order N for the whole type, and
+`sorou.least_rotation` finds its rotation class on those exponents.  Only
+the yielded canonical form is converted back to roots.
+
 Results are deduplicated by canonical form (true rotation classes) and
 memoized per rendered type; the memo can be persisted through the store
 module and is transparent to results.
@@ -22,16 +27,17 @@ module and is transparent to results.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, product
 
 from minvan.minimality import assembly_criterion
 from minvan.sorou import (
     Sorou,
-    SubsidiaryDecomposition,
-    canonicalize,
+    _rank_table,
     distinct_permutations,
-    from_subsidiary,
     height,
+    least_rotation,
+    order,
     parity,
     relative_order,
     subtract,
@@ -88,34 +94,62 @@ def _slot_options(t: TypeSum, f0: Sorou, cache: SorouCache) -> tuple[Sorou, ...]
     return hit
 
 
+def _slot_pools(m: MinVanType, cache: SorouCache) -> tuple[list[int], list[tuple[Sorou, ...]]]:
+    """(labels, pools): the subtypes of m as indices into pools, numbered in
+    first-seen order, and each distinct subtype's slot options; the last
+    pool is (f0,), the slot that no subtype fills."""
+    index: dict[TypeSum, int] = {}
+    labels = [index.setdefault(t, len(index)) for t in m.subtypes]
+    pools = [_slot_options(t, m.f0, cache) for t in index] + [(m.f0,)]
+    return labels, pools
+
+
 def _assemblies(m: MinVanType, cache: SorouCache, anchor: bool = True):
     """Lazily yield (slots, minimal) for every slot assembly of type m of
     the right weight; the sorou is sum_j nu_p^j slots[j], never built here.
-    Minimality is decided on the slots (see minimality.assembly_criterion)."""
-    p, f0 = m.p, m.f0
+    Minimality is decided on the slots (see minimality.assembly_criterion).
+    Placements permute the small integer labels of `_slot_pools`."""
+    p = m.p
     target = type_weight(TypeSum((m,)))
-    slot_options = {t: _slot_options(t, f0, cache) for t in m.subtypes}
-    minimal = assembly_criterion(p, f0, chain.from_iterable(slot_options.values()))
-    labels = list(m.subtypes)
+    labels, pools = _slot_pools(m, cache)
+    minimal = assembly_criterion(p, m.f0, chain.from_iterable(pools[:-1]))
+    empty = [len(pools) - 1] * (p - len(labels))
     if anchor and labels:
-        placements = (
-            (labels[0],) + rest
-            for rest in distinct_permutations(labels[1:] + [None] * (p - len(labels)))
-        )
+        placements = ((labels[0],) + rest for rest in distinct_permutations(labels[1:] + empty))
     else:
-        placements = distinct_permutations(labels + [None] * (p - len(labels)))
+        placements = distinct_permutations(labels + empty)
     for placement in placements:
-        pools = [slot_options[t] if t is not None else (f0,) for t in placement]
-        for slots in product(*pools):
-            if sum(map(weight, slots)) == target:
+        for slots in product(*[pools[i] for i in placement]):
+            if sum(map(len, slots)) == target:
                 yield slots, minimal(slots)
 
 
 def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
     """Lazily yield (canonical form, minimal) for every slot assembly of
-    type m (duplicates possible across assemblies)."""
+    type m (duplicates possible across assemblies).
+
+    Every assembly of m lives in mu_n, n = lcm(p, orders of f0 and of every
+    slot option), so a slot x at position j is the exponent list
+    j*n/p + e mod n, e the exponents of x; each (j, x) list is built once.
+    `least_rotation` at n picks the same class as `canonicalize` at the
+    assembly's own order, which divides n: its anchored rotations stay in
+    that subgroup, and (order, power) ranks order it alike in both tables.
+    """
+    p = m.p
+    _, pools = _slot_pools(m, cache)
+    n = math.lcm(p, *(order(x) for pool in pools for x in pool))
+    step = n // p
+    _, roots = _rank_table(n)
+    memo: dict[tuple[int, Sorou], list[int]] = {}
     for slots, minimal in _assemblies(m, cache, anchor):
-        yield canonicalize(from_subsidiary(SubsidiaryDecomposition(m.p, slots))), minimal
+        es: list[int] = []
+        for key in enumerate(slots):
+            part = memo.get(key)
+            if part is None:
+                j, x = key
+                part = memo[key] = [(j * step + q * (n // o)) % n for o, q in x]
+            es += part
+        yield tuple([roots[i] for i in least_rotation(es, n)]), minimal
 
 
 def sorou_of_minvan_type(

@@ -184,6 +184,45 @@ def _rank_table(n: int) -> tuple[tuple[int, ...], tuple[Root, ...]]:
     return tuple(rank), roots
 
 
+def least_rotation(es: list[int], n: int) -> list[int]:
+    """Sorted ranks (see `_rank_table`) of the least term-anchored rotation
+    of the exponent multiset es, every exponent in range(n).
+
+    Rotating by the inverse of the term nu_n^a subtracts a.  The anchors are
+    pruned before any rotation is sorted:
+
+    * only a term of maximal multiplicity can anchor the least rotation,
+      since rank 0 (the root 1) is the least rank and its count is the
+      anchor's multiplicity;
+    * among those anchors, the second distinct rank of anchor a's rotation
+      is the least rank r with nu_n^(a + d_r) a term, d_r the exponent of
+      rank r.  Walking r = 1, 2, ..., the first r that some anchor reaches
+      keeps exactly the anchors that reach it: no other anchor can have a
+      key as small.
+
+    The walk stops after len(es) ranks and then keeps every anchor of
+    maximal multiplicity: its lookups are then no more than the unpruned
+    minimum's, where an uncapped walk at a large n (a sum whose terms are
+    all far apart) could visit thousands of ranks.  Two anchors are
+    compared by sorting both rotations, which costs no more than the walk.
+    `rank[e - a]` is `rank[(e - a) % n]` by Python's negative indexing.
+    """
+    rank, roots = _rank_table(n)
+    anchors = list(dict.fromkeys(es))
+    if len(anchors) < len(es):
+        top = max(map(es.count, anchors))
+        anchors = [a for a in anchors if es.count(a) == top]
+    if len(anchors) > 2:
+        terms = set(es)
+        for o, p in roots[1 : len(es) + 1]:
+            d = p * (n // o)
+            reached = [a for a in anchors if (a + d) % n in terms]
+            if reached:
+                anchors = reached
+                break
+    return min(sorted([rank[e - a] for e in es]) for a in anchors)
+
+
 def canonicalize(s: Sorou) -> Sorou:
     """Lexicographic minimum over all term-anchored rotations of s.
 
@@ -192,17 +231,18 @@ def canonicalize(s: Sorou) -> Sorou:
     to be the inverse of a term.
 
     Every term and every anchored rotation lives in N = order(s), so terms
-    are exponents mod N and rotating by the inverse of the term nu_N^a
-    subtracts a.  Ranks preserve (order, power) order, so the least sorted
-    rank tuple is the least rotation.
+    are exponents mod N and `least_rotation` finds the least anchored
+    rotation on them.  It first prunes the anchors, exactly: to the terms
+    of maximal multiplicity, then to those whose nearest other term has the
+    least rank, with that walk capped at weight(s) ranks.  Ranks preserve
+    (order, power) order, so the least sorted rank list is the least
+    rotation.
     """
     if not s:
         raise ValueError("empty sorou")
     n = order(s)
-    rank, roots = _rank_table(n)
-    es = [p * (n // o) for o, p in s]
-    best = min(tuple(sorted(rank[(e - a) % n] for e in es)) for a in dict.fromkeys(es))
-    return tuple(roots[i] for i in best)
+    _, roots = _rank_table(n)
+    return tuple([roots[i] for i in least_rotation([p * (n // o) for o, p in s], n)])
 
 
 def equivalent(s1: Sorou, s2: Sorou) -> bool:

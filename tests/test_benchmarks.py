@@ -1,6 +1,7 @@
 """Micro-benchmarks of the hot kernels on fixed weight-16 inputs, of the
-statistics of the weight-16 types, and of the exact vanishing test on
-order-4620 sums.
+statistics of the weight-16 types, of the exact vanishing test on
+order-4620 sums, and of the least-rotation routine's worst cases at order
+34650.
 
 Run with pytest-benchmark (skipped when it is absent); a few rounds each, so
 the suite's time barely moves.  `pytest tests/test_benchmarks.py
@@ -14,7 +15,17 @@ import pytest
 from minvan.cyclotomic import is_vanishing, residue
 from minvan.enumeration import sorou_of_minvan_type, type_statistics
 from minvan.minimality import is_minimal_vanishing
-from minvan.sorou import canonicalize, make_root, order, parse_sorou, root_inv, rotate
+from minvan.sorou import (
+    _rank_table,
+    canonicalize,
+    least_rotation,
+    make_root,
+    order,
+    parse_sorou,
+    root_inv,
+    rotate,
+    sorou,
+)
 
 pytest.importorskip("pytest_benchmark")
 
@@ -54,6 +65,19 @@ def quarter_turn_sums():
     return sums
 
 
+@pytest.fixture(scope="module")
+def order_34650_exponents():
+    """Exponents mod 34650 of the weight-18 sum nu R_7 + nu^2 R_11 of
+    tests/test_cyclotomic.py (18 tied anchors; the walk reaches nu_7 at rank
+    10 and keeps 7) and of 2 R_11 rotated (11 tied anchors; nu_11 has rank
+    26, past the walk's cap of 22 ranks, so all 11 are kept)."""
+    n = 34650
+    s = sorou([(n, 1 + k * n // 7) for k in range(7)] + [(n, 2 + k * n // 11) for k in range(11)])
+    assert order(s) == n
+    _rank_table(n)  # built once, outside the timed rounds
+    return n, [[p * (n // o) for o, p in s], [(2 + k * n // 11) % n for k in range(11)] * 2]
+
+
 def run(benchmark, fn, inputs):
     return benchmark.pedantic(lambda: [fn(s) for s in inputs], rounds=ROUNDS, iterations=1)
 
@@ -65,6 +89,13 @@ def test_bench_residue(benchmark, weight16_classes):
 def test_bench_canonicalize(benchmark, weight16_classes):
     rotated = [rotate(s, root_inv(s[-1])) for s in weight16_classes]
     assert run(benchmark, canonicalize, rotated) == weight16_classes
+
+
+def test_bench_least_rotation_order_34650(benchmark, order_34650_exponents):
+    n, inputs = order_34650_exponents
+    best = run(benchmark, lambda es: least_rotation(es, n), inputs)
+    rank, _ = _rank_table(n)
+    assert best == [min(sorted(rank[(e - a) % n] for e in es) for a in set(es)) for es in inputs]
 
 
 def test_bench_is_minimal_vanishing(benchmark, weight16_classes):

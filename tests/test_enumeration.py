@@ -6,6 +6,7 @@ import minvan.enumeration as enumeration
 from minvan.enumeration import (
     SorouCache,
     _assemblies,
+    _iter_assembled,
     has_minimal_realization,
     sorou_of_minvan_type,
     sorou_of_typesum_anchored,
@@ -164,21 +165,53 @@ def test_slot_verdicts_match_the_criterion(db16, shared_cache):
     }
 
 
+def test_assembled_forms_match_canonicalize(db16, shared_cache):
+    # The exponent-native assembler against the kernels it replaced: every
+    # assembly of every candidate through weight 16, plus (R3 : R3), built
+    # as a sorou and canonicalized at its own order.
+    candidates = [
+        m for w in range(2, 17) for m in _candidates(db16, GenerationConfig(target_weight=w))
+    ]
+    assemblies = 0
+    for m in candidates + [M(3, T(R3))]:
+        pairs = zip(_assemblies(m, shared_cache), _iter_assembled(m, shared_cache), strict=True)
+        for (slots, minimal), (form, assembled_minimal) in pairs:
+            s = from_subsidiary(SubsidiaryDecomposition(m.p, slots))
+            assert form == canonicalize(s), (render_minvan(m), slots)
+            assert assembled_minimal == minimal
+            assemblies += 1
+    assert assemblies == 5978  # 103 candidates and (R3 : R3)
+
+
 def _refuse(*args):
     raise AssertionError("unexpected call")
 
 
 def test_fallback_builds_no_sorou(monkeypatch, db16, shared_cache):
     # Each type's own class list is left out of the cache, so the fallback
-    # must assemble it; only its subtypes' lists are read.
+    # must assemble it; only its subtypes' lists are read.  The refused
+    # names are those `_iter_assembled` needs to form an assembled sorou.
     classes = shared_cache.as_dict()
-    for name in ("canonicalize", "from_subsidiary"):
+    for name in ("least_rotation", "_rank_table"):
         monkeypatch.setattr(enumeration, name, _refuse)
     for record in db16.records:
         key = render_type(record.type)
         cache = SorouCache({k: v for k, v in classes.items() if k != key})
         assert has_minimal_realization(record.type.components[0], cache)
     assert not has_minimal_realization(M(3, T(R3)), shared_cache)
+
+
+def test_assembler_does_no_root_arithmetic(monkeypatch, db16, shared_cache):
+    # Once the slot options and the rank table are built, the assembler
+    # works on exponents only: no root product, no sorou built or
+    # canonicalized, in the sorou module's own calls either.
+    import minvan.sorou as sorou_module
+
+    types = [record.type.components[0] for record in db16.records_for_weight(16)]
+    expected = [list(_iter_assembled(m, shared_cache)) for m in types]
+    for name in ("make_root", "root_mul", "canonicalize", "from_subsidiary"):
+        monkeypatch.setattr(sorou_module, name, _refuse)
+    assert [list(_iter_assembled(m, shared_cache)) for m in types] == expected
 
 
 def test_statistics_ask_the_criterion_about_no_class(monkeypatch, db16, shared_cache):

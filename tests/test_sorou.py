@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from minvan.sorou import (
     height,
     is_subsorou,
     labeled_partitions,
+    least_rotation,
     make_root,
     order,
     parity,
@@ -351,6 +353,77 @@ def test_canonicalize_matches_definition_on_database(db16, shared_cache):
             assert canonicalize(s) == canonicalize_by_definition(s) == s
             last = rotate(s, root_inv(s[-1]))
             assert canonicalize(last) == canonicalize_by_definition(last) == s
+
+
+@cache
+def ranks_by_definition(n):
+    """rank[e]: the place of nu_n^e among the roots of order dividing n,
+    sorted as reduced (order, power) pairs."""
+    place = {r: i for i, r in enumerate(sorted({make_root(n, e) for e in range(n)}))}
+    return [place[make_root(n, e)] for e in range(n)]
+
+
+def least_rotation_by_definition(es, n):
+    """Unpruned: the least sorted rank list over every anchor."""
+    rank = ranks_by_definition(n)
+    return min(sorted(rank[(e - a) % n] for e in es) for a in set(es))
+
+
+def exhausts_walk(es, n):
+    """More than two anchors tie on multiplicity and none reaches another
+    term within len(es) ranks, so the routine's walk falls back to all of
+    them."""
+    counts = Counter(es)
+    top = max(counts.values())
+    anchors = [a for a, c in counts.items() if c == top]
+    first_ranks = sorted(range(n), key=ranks_by_definition(n).__getitem__)[1 : len(es) + 1]
+    return len(anchors) > 2 and not any((a + d) % n in counts for a in anchors for d in first_ranks)
+
+
+MODULI = (1, 2, 6, 12, 30, 210, 420, 2520, 34650)
+
+
+@st.composite
+def exponent_multisets(draw):
+    """(es, n): a few exponents with repeats, whole rotated cosets of a
+    prime's roots (every anchor tied, possibly k times over), or runs of
+    consecutive exponents, whose differences have large order and so
+    exhaust the walk at large n."""
+    n = draw(st.sampled_from(MODULI))
+    kind = draw(st.sampled_from(("pool", "cosets", "run")))
+    if kind == "cosets" and n > 1:
+        q = draw(st.sampled_from(prime_factors(n)))
+        shifts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        k = draw(st.integers(1, 3))
+        return [(a + i * n // q) % n for a in shifts for i in range(q)] * k, n
+    if kind == "run":
+        a, k = draw(st.integers(0, n - 1)), draw(st.integers(1, min(n, 8)))
+        return [(a + i) % n for i in range(k)], n
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)), n
+
+
+@given(exponent_multisets())
+@settings(max_examples=300, deadline=None)
+def test_least_rotation_matches_definition(case):
+    es, n = case
+    assert least_rotation(es, n) == least_rotation_by_definition(es, n)
+
+
+@pytest.mark.parametrize(
+    "es, n, exhausts",
+    [
+        ([(3 + 2 * k) % 14 for k in range(7)], 14, False),  # R_7 rotated
+        ([(3 + 30 * k) % 210 for k in range(7)], 210, True),  # nu_7 has rank 10 > 7
+        ([(5 + 504 * k) % 2520 for k in range(5)] * 2, 2520, False),  # 2 R_5 rotated
+        ([0, 1, 2], 2520, True),
+        ([0, 0, 1, 1, 2, 2], 2520, True),
+        ([(2 + 3150 * k) % 34650 for k in range(11)] * 2, 34650, True),  # 2 R_11 rotated
+    ],
+)
+def test_least_rotation_on_ties_and_exhausted_walks(es, n, exhausts):
+    assert exhausts_walk(es, n) == exhausts
+    assert least_rotation(es, n) == least_rotation_by_definition(es, n)
 
 
 @given(sorou_210)
