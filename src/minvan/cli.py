@@ -164,8 +164,10 @@ def cmd_enumerate(args) -> int:
     if not t.is_minimal_claim:
         raise SystemExit("error: enumeration is defined for minimal types")
     cache = _load_cache(args.db)
+    added = cache.get(render_type(t)) is None
     classes = enumeration.sorou_of_minvan_type(t.components[0], cache)
-    store.save_cache(cache.as_dict(), _cache_path(args.db))
+    if added:
+        store.save_cache(cache.as_dict(), _cache_path(args.db))
     for s in classes:
         print(render_sorou(s))
     print(f"{len(classes)} classes", file=sys.stderr)

@@ -18,7 +18,10 @@ Each (subtype, f0) pair's slot options are built once per cache.
 An assembled sorou is never built as (order, power) roots: each assembly
 of a type is a list of exponents mod one order N for the whole type, and
 `sorou.least_rotation` finds its rotation class on those exponents.  Only
-the yielded canonical form is converted back to roots.
+the yielded canonical form is converted back to roots, and the statistics
+of a class (parity, height, relative order) are read off that form, which
+contains the root 1 at maximal multiplicity; no rotation or decomposition
+is built for them.
 
 Results are deduplicated by canonical form (true rotation classes) and
 memoized per rendered type; the memo can be persisted through the store
@@ -33,15 +36,12 @@ from itertools import chain, product
 from minvan.minimality import assembly_criterion
 from minvan.sorou import (
     Sorou,
+    _form_statistics,
     _rank_table,
     distinct_permutations,
-    height,
     least_rotation,
     order,
-    parity,
-    relative_order,
     subtract,
-    weight,
 )
 from minvan.types import (
     MinVanType,
@@ -176,7 +176,13 @@ def has_minimal_realization(m: MinVanType, cache: SorouCache) -> bool:
 def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
     """Enumerate m once, store its class list in the cache, and aggregate
     the parities, heights, relative orders and equisigned flag of its
-    minimal vanishing realizations."""
+    minimal vanishing realizations.
+
+    Each class is the least rotation `_iter_assembled` yields, so the three
+    statistics are read off its terms (`sorou._form_statistics`): height is
+    the count of the root 1, relative order the lcm of the term orders, and
+    parity the odd/even split of the terms themselves.
+    """
     key = render_type(TypeSum((m,)))
     verdicts = dict(_iter_assembled(m, cache))
     classes = tuple(sorted(verdicts))
@@ -186,11 +192,9 @@ def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
         raise ValueError(f"type has no minimal realization: {key}")
     w = type_weight(TypeSum((m,)))
     for s in minimal:
-        if weight(s) != w:
+        if len(s) != w:
             raise AssertionError("minimal realization with wrong weight")
-    parities = frozenset(parity(s) for s in minimal)
-    heights = frozenset(height(s) for s in minimal)
-    rel_orders = frozenset(relative_order(s) for s in minimal)
+    parities, heights, rel_orders = map(frozenset, zip(*map(_form_statistics, minimal)))
     return TypeRecord(
         type=TypeSum((m,)),
         weight=w,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable
 
-from minvan.arith import is_squarefree, primes_below
+from minvan.arith import is_squarefree, prime_factors, primes_below
 from minvan.cyclotomic import _packed_rows, is_vanishing, numeric_value, residue
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
@@ -58,7 +58,14 @@ class MinimalityVerdict:
 
 
 def top_prime(s: Sorou) -> int:
-    return to_subsidiary(s).top_prime
+    """Largest prime of relative_order(s), the prime `to_subsidiary` splits
+    at, found without decomposing s."""
+    r = relative_order(s)
+    if not is_squarefree(r):
+        raise ValueError("subsidiary decomposition undefined: relative order not squarefree")
+    if r == 1:
+        raise ValueError("no top prime: relative order 1")
+    return prime_factors(r)[-1]
 
 
 def _proper_subsorou_residues(part: Sorou, modulus: int) -> tuple[bool, frozenset]:

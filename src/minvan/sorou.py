@@ -69,25 +69,46 @@ def sorou(terms: Iterable[tuple[int, int]]) -> Sorou:
     return tuple(sorted(make_root(o, p) for o, p in terms))
 
 
+# Chunk -> root memo of `parse_sorou`, and the root -> text memo of
+# `render_sorou`: a cache file holds a few thousand distinct roots, written
+# and read millions of times.  Only parsed chunks are stored, so a bad term
+# raises (with its position) on every parse.
+_CHUNK_ROOTS: dict[str, Root] = {}
+
+
 def parse_sorou(text: str) -> Sorou:
-    """Parse the ``ORDER:POWER(+ORDER:POWER)*`` grammar."""
+    """Parse the ``ORDER:POWER(+ORDER:POWER)*`` grammar; terms are reduced
+    and sorted as by `sorou`."""
+    try:
+        return tuple(sorted(map(_CHUNK_ROOTS.__getitem__, text.split("+"))))
+    except KeyError:
+        pass  # some chunk is new: parse, or reject, each one below
     if not text:
         raise ValueError("sorou parse error at position 0: empty text")
     terms = []
     pos = 0
     for chunk in text.split("+"):
-        o, sep, p = chunk.partition(":")
-        if not sep or not o.isdigit() or not p.isdigit():
-            raise ValueError(f"sorou parse error at position {pos}: bad term {chunk!r}")
-        if int(o) <= 0:
-            raise ValueError(f"sorou parse error at position {pos}: zero order")
-        terms.append((int(o), int(p)))
+        root = _CHUNK_ROOTS.get(chunk)
+        if root is None:
+            o, sep, p = chunk.partition(":")
+            if not sep or not o.isdigit() or not p.isdigit():
+                raise ValueError(f"sorou parse error at position {pos}: bad term {chunk!r}")
+            if int(o) <= 0:
+                raise ValueError(f"sorou parse error at position {pos}: zero order")
+            root = _CHUNK_ROOTS[chunk] = make_root(int(o), int(p))
+        terms.append(root)
         pos += len(chunk) + 1
-    return sorou(terms)
+    terms.sort()
+    return tuple(terms)
+
+
+@cache
+def _root_text(r: Root) -> str:
+    return f"{r[0]}:{r[1]}"
 
 
 def render_sorou(s: Sorou) -> str:
-    return "+".join(f"{o}:{p}" for o, p in s)
+    return "+".join(map(_root_text, s))
 
 
 def rotate(s: Sorou, z: Root) -> Sorou:
@@ -221,6 +242,29 @@ def least_rotation(es: list[int], n: int) -> list[int]:
                 anchors = reached
                 break
     return min(sorted([rank[e - a] for e in es]) for a in anchors)
+
+
+def _form_statistics(s: Sorou) -> tuple[tuple[int, int], int, int]:
+    """(parity, height, relative order) of a least rotation s, such as
+    `canonicalize` returns or `least_rotation` ranks, read off its terms.
+
+    A least rotation is anchored at a term of maximal multiplicity, so it
+    contains the root 1, which sorts first, as often as any term occurs:
+    its height is that count.  With 1 among the terms, the term ratios
+    generate every term, so the relative order is the lcm of the term
+    orders.  And `parity` rotates s by the inverse of its first term, which
+    is 1 here, so it counts the odd-order terms of s itself.  (Any other
+    term-anchored rotation multiplies s by a root of mu_r, r the relative
+    order; for even squarefree r that keeps or swaps the odd and even
+    counts, so the unordered pair does not depend on the anchor.)
+    Each value equals its function's on s; s must not be empty.
+    """
+    r = math.lcm(*{o for o, _ in s})
+    if not is_squarefree(r):
+        raise ValueError("parity undefined: relative order not squarefree")
+    odd = sum([o & 1 for o, _ in s])
+    w = len(s)
+    return (max(odd, w - odd), min(odd, w - odd)), s.count(ONE), r
 
 
 def canonicalize(s: Sorou) -> Sorou:

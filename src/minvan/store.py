@@ -175,6 +175,8 @@ def save_cache(classes: dict[str, tuple[Sorou, ...]], path: str) -> None:
 
 
 def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
+    """Class lists by type key.  `parse_sorou` parses each distinct term
+    once, so the loaded classes share one object per distinct root."""
     out: dict[str, tuple[Sorou, ...]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

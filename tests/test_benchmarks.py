@@ -1,7 +1,7 @@
 """Micro-benchmarks of the hot kernels on fixed weight-16 inputs, of the
 statistics of the weight-16 types, of the exact vanishing test on
-order-4620 sums, and of the least-rotation routine's worst cases at order
-34650.
+order-4620 sums, of the least-rotation routine's worst cases at order
+34650, and of writing and reading the weight <= 16 class cache.
 
 Run with pytest-benchmark (skipped when it is absent); a few rounds each, so
 the suite's time barely moves.  `pytest tests/test_benchmarks.py
@@ -26,6 +26,8 @@ from minvan.sorou import (
     rotate,
     sorou,
 )
+from minvan.store import load_cache, save_cache
+from minvan.types import render_type
 
 pytest.importorskip("pytest_benchmark")
 
@@ -78,6 +80,20 @@ def order_34650_exponents():
     return n, [[p * (n // o) for o, p in s], [(2 + k * n // 11) % n for k in range(11)] * 2]
 
 
+@pytest.fixture(scope="module")
+def weight16_cache(db16, shared_cache, tmp_path_factory):
+    """(class lists of the 76 types of weight <= 16, a path to write them
+    to, a path they are already written to)."""
+    data = {
+        render_type(r.type): sorou_of_minvan_type(r.type.components[0], shared_cache)
+        for r in db16.records
+    }
+    directory = tmp_path_factory.mktemp("cache")
+    saved = str(directory / "saved.cache")
+    save_cache(data, saved)
+    return data, str(directory / "scratch.cache"), saved
+
+
 def run(benchmark, fn, inputs):
     return benchmark.pedantic(lambda: [fn(s) for s in inputs], rounds=ROUNDS, iterations=1)
 
@@ -114,3 +130,15 @@ def test_bench_is_vanishing_order_4620(benchmark, quarter_turn_sums):
 def test_bench_type_statistics(benchmark, weight16_records, shared_cache):
     types = [record.type.components[0] for record in weight16_records]
     assert run(benchmark, lambda m: type_statistics(m, shared_cache), types) == weight16_records
+
+
+def test_bench_save_cache(benchmark, weight16_cache):
+    data, path, saved = weight16_cache
+    run(benchmark, lambda d: save_cache(d, path), [data])
+    with open(path) as fh, open(saved) as ref:
+        assert fh.read() == ref.read()
+
+
+def test_bench_load_cache(benchmark, weight16_cache):
+    data, _, saved = weight16_cache
+    assert run(benchmark, load_cache, [saved]) == [data]

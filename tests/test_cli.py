@@ -116,6 +116,31 @@ def test_enumerate_command(db_path, capsys):
     assert all(parity(parse_sorou(line)) == (4, 2) for line in out)
 
 
+def test_enumerate_writes_the_cache_only_when_a_type_is_added(tmp_path, monkeypatch, capsys):
+    import minvan.store as store
+
+    path = str(tmp_path / "minvan.db")
+    cache_path = path + ".cache"
+    assert main(["bootstrap", "--db", path]) == 0
+    assert "(R5;1:0;(R3;1:0))" in open(cache_path).read()
+    before = os.stat(cache_path)
+
+    def refuse(*args):
+        raise AssertionError("cache rewritten on a hit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "save_cache", refuse)
+        assert main(["enumerate", "(R5;1:0;(R3;1:0))", "--db", path]) == 0
+    after = os.stat(cache_path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    new_type = "(R7;1:0;(R5;1:0;(R3;1:0));(R5;1:0;(R3;1:0)))"
+    assert new_type not in open(cache_path).read()
+    assert main(["enumerate", new_type, "--db", path]) == 0
+    assert new_type + "\t" in open(cache_path).read()
+    capsys.readouterr()
+
+
 def test_report_csv_stdout(db_path, capsys):
     assert main(["report", "--db", db_path, "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -15,15 +16,18 @@ from minvan.enumeration import (
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
     SubsidiaryDecomposition,
+    _form_statistics,
     canonicalize,
     from_subsidiary,
+    height,
     is_subsorou,
     parity,
     parse_sorou,
+    relative_order,
     sorou,
     weight,
 )
-from minvan.typegen import GenerationConfig, _candidates
+from minvan.typegen import GenerationConfig, _candidates, generate_next_weight
 from minvan.types import minvan_weight, parse_type, render_minvan, render_type
 
 from table1_fixture import M, T, R2, R3, R5, R5_R3
@@ -220,3 +224,52 @@ def test_statistics_ask_the_criterion_about_no_class(monkeypatch, db16, shared_c
     monkeypatch.setattr(minimality, "is_minimal_vanishing", _refuse)
     for record in db16.records_for_weight(15):
         assert type_statistics(record.type.components[0], shared_cache) == record
+
+
+@pytest.fixture(scope="module")
+def types_through_17(db16, shared_cache):
+    """Every minimal type of weight <= 17: the 76 of db16 and the 37 of
+    weight 17 generated from it."""
+    w17 = generate_next_weight(db16, GenerationConfig(target_weight=17), shared_cache)
+    assert len(w17) == 37
+    return [record.type.components[0] for record in db16.records] + w17
+
+
+def root_statistics(s):
+    """(parity, height, relative order) by the functions on roots, or the
+    error parity raises."""
+    try:
+        return parity(s), height(s), relative_order(s)
+    except ValueError as exc:
+        return str(exc)
+
+
+def form_statistics(s):
+    try:
+        return _form_statistics(s)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_form_statistics_match_the_root_functions(types_through_17, shared_cache):
+    # Every class of every type through weight 17, minimal or not, as
+    # `_iter_assembled` yields it: the statistics read off the least
+    # rotation equal parity, height and relative order on roots.
+    minimal_by_weight = Counter()
+    for m in types_through_17:
+        for s, minimal in dict(_iter_assembled(m, shared_cache)).items():
+            assert form_statistics(s) == root_statistics(s), (render_minvan(m), s)
+            minimal_by_weight[weight(s)] += minimal
+    assert sum(n for w, n in minimal_by_weight.items() if w >= 13) == 12732
+
+
+def test_statistics_call_no_statistics_on_roots(monkeypatch, db16):
+    # With parity, height and relative order refused wherever minvan binds
+    # them, a cold cache still rebuilds every db16 record exactly.
+    for name, module in list(sys.modules.items()):
+        if name == "minvan" or name.startswith("minvan."):
+            for fn in ("parity", "height", "relative_order"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, _refuse)
+    cache = SorouCache()
+    assert [type_statistics(r.type.components[0], cache) for r in db16.records] == db16.records

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minvan.arith import is_squarefree, prime_factors
+from minvan.arith import is_squarefree, prime_factors, units
 from minvan.cyclotomic import is_vanishing, residue
-from minvan.minimality import top_prime
+from minvan.minimality import is_minimal_vanishing, top_prime
 from minvan.sorou import (
     ONE,
     canonicalize,
@@ -192,6 +192,50 @@ def test_parse_render():
         parse_sorou("")
 
 
+# A few (order, power) pairs, unreduced ones such as 4:2 and 6:0 included,
+# drawn with repeats.
+unreduced_pairs = st.lists(
+    st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(0, 30)),
+        st.sampled_from([(4, 2), (6, 0), (6, 3), (12, 8), (1, 5), (2, 4)]),
+    ),
+    min_size=1,
+    max_size=4,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+@given(unreduced_pairs)
+@settings(max_examples=150, deadline=None)
+def test_parse_and_render_match_their_definitions(pairs):
+    text = "+".join(f"{o}:{p}" for o, p in pairs)
+    s = parse_sorou(text)
+    assert s == sorou(pairs)
+    assert render_sorou(s) == "+".join(f"{o}:{p}" for o, p in s)
+    assert parse_sorou(render_sorou(s)) == s
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "position 0: empty text"),
+        ("bad", "position 0: bad term 'bad'"),
+        ("1:0+bad", "position 4: bad term 'bad'"),
+        ("1:0+3:1+", "position 8: bad term ''"),
+        ("1:0++3:1", "position 4: bad term ''"),
+        ("3:1+3:-1", "position 4: bad term '3:-1'"),
+        ("3:1+3", "position 4: bad term '3'"),
+        ("0:1", "position 0: zero order"),
+        ("1:0+3:1+00:2", "position 8: zero order"),
+    ],
+)
+def test_parse_errors_name_the_term_and_its_position(text, message):
+    # Twice: a chunk that failed is not remembered as parsed.
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            parse_sorou(text)
+        assert str(exc.value) == "sorou parse error at " + message
+
+
 def test_sub_multisets_of_size():
     s = sorou([(1, 0), (1, 0), (3, 1)])
     assert set(sub_multisets_of_size(s, 2)) == {
@@ -287,6 +331,51 @@ def test_parity_rotation_invariant(s, z):
     except ValueError:
         return
     assert parity(r) == p1  # relative order unchanged by rotation
+
+
+# Sums of one to three rotated minimal vanishing blocks, with terms of
+# mu_30 so that blocks often share terms, plus maybe one stray term: minimal,
+# non-minimal and non-vanishing sorou with repeated terms.
+BLOCKS = (
+    parse_sorou("1:0+2:1"),
+    parse_sorou("1:0+3:1+3:2"),
+    parse_sorou("1:0+5:1+5:2+5:3+5:4"),
+    H6,
+)
+roots_30 = st.tuples(st.sampled_from([1, 2, 3, 5, 6, 10, 15, 30]), st.integers(0, 29))
+block_sums = st.tuples(
+    st.lists(st.tuples(st.sampled_from(BLOCKS), roots_30), min_size=1, max_size=3),
+    st.lists(roots_30, max_size=1),
+).map(
+    lambda case: tuple(
+        sorted(
+            [t for block, z in case[0] for t in rotate(block, make_root(*z))]
+            + [make_root(*z) for z in case[1]]
+        )
+    )
+)
+
+
+def galois(s, k):
+    """The image of s under nu_n -> nu_n^k, k a unit mod order(s)."""
+    return sorou((o, p * k) for o, p in s)
+
+
+def invariants(s):
+    try:
+        p = parity(s)
+    except ValueError:
+        p = None
+    return p, height(s), relative_order(s), is_minimal_vanishing(s)
+
+
+@given(block_sums, roots_210, st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_statistics_and_verdict_invariant_under_rotation_and_galois(s, z, i):
+    expected = invariants(s)
+    assert invariants(rotate(s, make_root(*z))) == expected
+    ks = units(order(s))
+    assert invariants(galois(s, ks[i % len(ks)])) == expected
 
 
 def relative_order_by_definition(s):

@@ -67,6 +67,25 @@ def test_cache_round_trip(tmp_path, shared_cache):
     assert load_cache(path) == {}
 
 
+def test_cache_round_trip_of_the_database(tmp_path, db16, shared_cache):
+    # Every class list of db16, written as the text rendered term by term
+    # and read back; the loaded classes share one object per distinct root.
+    data = {
+        render_type(r.type): sorou_of_minvan_type(r.type.components[0], shared_cache)
+        for r in db16.records
+    }
+    path = tmp_path / "db16.cache"
+    save_cache(data, str(path))
+    assert path.read_text() == "".join(
+        k + "\t" + ",".join("+".join(f"{o}:{p}" for o, p in s) for s in data[k]) + "\n"
+        for k in sorted(data)
+    )
+    loaded = load_cache(str(path))
+    assert loaded == data
+    terms = [t for classes in loaded.values() for s in classes for t in s]
+    assert len({id(t) for t in terms}) == len(set(terms))
+
+
 def test_cache_hit_equals_recomputation(tmp_path, shared_cache):
     key = render_type(T(R5_R3))
     classes = sorou_of_minvan_type(R5_R3, shared_cache)
