@@ -2,11 +2,9 @@
 
 from minvan.cyclotomic import (
     IntPolynomial,
-    Residue,
     cyclotomic_poly,
     is_vanishing,
     numeric_value,
-    residue,
     values_equal,
 )
 from minvan.enumeration import SorouCache, sorou_of_minvan_type, sorou_of_typesum_anchored, type_statistics

@@ -176,12 +176,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_report(args) -> int:
     db = _load_db(args.db)
-    text = store.csv_report_text(db) if args.format == "csv" else store.latex_report_text(db)
+    csv = args.format == "csv"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        (store.write_csv_report if csv else store.write_latex_report)(db, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(store.csv_report_text(db) if csv else store.latex_report_text(db))
     return 0
 
 

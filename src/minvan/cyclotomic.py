@@ -1,5 +1,5 @@
-"""Exact cyclotomic arithmetic: Phi_n over the integers, sorou residues and
-the vanishing test.
+"""Exact cyclotomic arithmetic: the vanishing test, tower coordinates for
+comparing values, and Phi_n over the integers.
 
 Vanishing is decided exactly by descending the cyclotomic tower (de Bruijn
 1953; Lam-Leung 2000), with no cyclotomic polynomial built.  A sorou of
@@ -23,12 +23,14 @@ The recursion is at most as deep as the number of prime factors of N.  Any
 prime of N would do; peeling the smallest first leaves the largest, whose
 p - 1 differences cost the most, to the integer test at the leaf.
 
-Residues modulo Phi_N remain for other uses: each term nu_o^p lifts to the
-monomial x^(p*N/o), and the sum reduces modulo Phi_N to a unique integer
-vector of length phi(N), zero exactly when the complex value is zero
-(Gauss's lemma: Phi_N divides an integer polynomial over Q iff it does over
-Z).  The minimality criterion compares part values as residues at a small
-modulus.
+For a squarefree N the same automorphism, applied at every prime, gives
+coordinates (Bosma 1990; the Zumbroich basis at squarefree N): zeta_N^e is
+the tensor product over the primes p of N of zeta_p^(e mod p), each written
+in the basis zeta_p^1 .. zeta_p^(p-1) of Q(zeta_p), where zeta_p^0 is minus
+their sum.  Every coordinate of a root is 0 or +-1.  The minimality
+criterion compares subsorou values at a squarefree modulus by these
+coordinates, each root's packed into one int (`_packed_tower_row`).
+Phi_n itself is built only for `minvan phi`.
 
 A floating-point prefilter may skip the exact test: up to
 PREFILTER_MAX_WEIGHT terms the rounding error of the floating sum stays far
@@ -43,7 +45,7 @@ import cmath
 from dataclasses import dataclass
 from functools import cache
 
-from minvan.arith import divisors, euler_phi, prime_factors
+from minvan.arith import divisors, euler_phi, is_squarefree, prime_factors
 from minvan.sorou import SUBSET_GUARD_WEIGHT, Sorou, order, subtract
 
 NUMERIC_PREFILTER_LIMIT = 1e-6
@@ -109,67 +111,37 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
     return poly
 
 
-@cache
-def _monomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """x^k mod Phi_n for k in range(n), as phi(n)-vectors."""
-    phi = cyclotomic_poly(n).coefficients
-    d = len(phi) - 1
-    rows = [(1,) + (0,) * (d - 1)]
-    for _ in range(1, n):
-        prev = rows[-1]
-        carry = prev[-1]
-        row = [0] + list(prev[:-1])
-        if carry:
-            for i in range(d):
-                row[i] -= carry * phi[i]
-        rows.append(tuple(row))
-    return tuple(rows)
+# Width of one packed tower coordinate.  Every coordinate of a row is 0 or
+# +-1, so a sub-sum of at most SUBSET_GUARD_WEIGHT rows has coordinates of
+# modulus at most SUBSET_GUARD_WEIGHT, and two such sub-sums differ by at
+# most twice that in each coordinate; the width holds this plus a sign bit.
+PACK_WIDTH = (2 * SUBSET_GUARD_WEIGHT).bit_length() + 1
 
 
 @cache
-def _packed_rows(n: int) -> tuple[int, tuple[int, ...]]:
-    """(width, rows): each x^k mod Phi_n packed into one int by signed
-    Kronecker substitution, coefficient i weighted by 2**(i * width).
+def _packed_tower_row(n: int, e: int) -> int:
+    """zeta_n^e in tower coordinates (see the module docstring), n
+    squarefree, packed into one int by signed Kronecker substitution:
+    coordinate i is weighted by 2**(i * PACK_WIDTH), indexed in mixed radix
+    over the primes of n, smallest fastest.  So the row is the product over
+    the primes p of the packed factor of zeta_p^(e mod p), at a stride of
+    the product of q - 1 over the smaller primes q.
 
-    Packing is linear, so a sub-sum packs to the sum of its rows.  It is
-    injective on vectors whose coefficients differ by less than 2**width:
-    the lowest nonzero difference would have to be a multiple of 2**width.
-    Sub-sums of at most SUBSET_GUARD_WEIGHT rows therefore pack to equal
-    ints exactly when their residues are equal, and to 0 exactly when zero.
+    Packing is linear and, on sub-sums of at most SUBSET_GUARD_WEIGHT rows,
+    injective (see PACK_WIDTH): they pack to equal ints exactly when their
+    values are equal, and to 0 exactly when they vanish.
     """
-    rows = _monomial_rows(n)
-    bound = SUBSET_GUARD_WEIGHT * max(abs(c) for row in rows for c in row)
-    width = (2 * bound).bit_length() + 1
-    if 1 << (width - 1) <= 2 * bound:
-        raise AssertionError(f"packing width {width} does not cover 2 * {bound} plus a sign bit")
-    return width, tuple(sum(c << (i * width) for i, c in enumerate(row)) for row in rows)
-
-
-@dataclass(frozen=True)
-class Residue:
-    """Value of a sorou as the remainder of its lift modulo Phi_N."""
-
-    modulus_order: int
-    coefficients: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
-
-def residue(s: Sorou, modulus: int | None = None) -> Residue:
-    """Exact value of s in Z[x]/(Phi_N); N defaults to the order of s.
-
-    Every term order must divide N.  The empty sorou has the zero residue
-    (at an explicit modulus only).
-    """
-    n = order(s) if modulus is None else modulus
-    rows = _monomial_rows(n)
-    acc = [0] * len(rows[0])
-    for o, p in s:
-        row = rows[p * (n // o) % n]
-        for i, c in enumerate(row):
-            acc[i] += c
-    return Residue(n, tuple(acc))
+    if not is_squarefree(n):
+        raise ValueError(f"tower coordinates need a squarefree modulus, got {n}")
+    row, step = 1, PACK_WIDTH
+    for p in prime_factors(n):
+        j = e % p
+        if j:
+            row <<= (j - 1) * step
+        else:
+            row *= -sum(1 << (k * step) for k in range(p - 1))
+        step *= p - 1
+    return row
 
 
 @cache
@@ -229,8 +201,8 @@ def is_vanishing(s: Sorou) -> bool:
     otherwise, up to the automorphism zeta_N -> zeta_p * zeta_M, s is
     sum_j zeta_p^j g_j with g_j in Q(zeta_M), where 1 + zeta_p + ... +
     zeta_p^(p-1) = 0 is the only relation, so every g_j - g_0 must vanish at
-    order M.  Order 1 is an integer test.  No cyclotomic polynomial or
-    residue table is built.
+    order M.  Order 1 is an integer test.  No cyclotomic polynomial is
+    built.
     """
     if not s:
         raise ValueError("empty sorou")

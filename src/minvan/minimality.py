@@ -5,16 +5,16 @@ Two independent routes decide whether a vanishing sorou is minimal:
 * the subsidiary criterion: decompose at the top prime and check that
   (i) the smallest part has nonzero value, (ii) no part contains a vanishing
   proper nonempty subsorou, and (iii) the parts share no common proper
-  subsorou value.  Subsorou values are compared as exact residues at a common
-  modulus, each packed into one integer, so condition (iii) is a hash-set
-  intersection of packed residues.
+  subsorou value.  Subsorou values are compared in tower coordinates at the
+  squarefree lcm of the part orders, each packed into one integer
+  (`cyclotomic._packed_tower_row`), so condition (iii) is a hash-set
+  intersection of packed values.
 * a definition-level brute force over all proper nonempty sub-multisets,
   kept deliberately naive as the oracle for the criterion path.
 
-Enumeration reads conditions (ii) and (iii) directly on the slots it
-assembles (`assembly_criterion`), which are the subsidiary parts up to a
-cyclic shift and a common rotation; `is_minimal_vanishing` stays the
-authority for `verify` and in the tests.
+Conditions (ii) and (iii) have one implementation, `assembly_criterion`,
+which reads them on slots: enumeration gives it the slots it assembles, and
+`is_minimal_vanishing` the parts of its subsidiary decomposition.
 
 A vanishing sorou whose relative order is not squarefree cannot be minimal
 (Mann), so it is refused without decomposing.
@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable
 
 from minvan.arith import is_squarefree, prime_factors, primes_below
-from minvan.cyclotomic import _packed_rows, is_vanishing, numeric_value, residue
+from minvan.cyclotomic import _packed_tower_row, is_vanishing, numeric_value
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
     Sorou,
@@ -68,67 +67,59 @@ def top_prime(s: Sorou) -> int:
     return prime_factors(r)[-1]
 
 
-def _proper_subsorou_residues(part: Sorou, modulus: int) -> tuple[bool, frozenset]:
-    """(some proper nonempty subsorou vanishes, set of their packed residues).
+def _proper_subsorou_values(part: Sorou, modulus: int) -> tuple[bool, frozenset]:
+    """(some proper nonempty subsorou vanishes, set of their packed values).
 
-    A sub-multiset dynamic program over (count, packed residue) states: each
-    root group (root, mult) in turn adds 0..mult copies of its packed row.
+    A sub-multiset dynamic program over (count, packed value) states: each
+    root group (root, mult) in turn adds 0..mult copies of its packed row
+    at the squarefree modulus.
     """
     n = weight(part)
     if n > SUBSET_GUARD_WEIGHT:
         raise ValueError(f"subset explosion: weight {n} exceeds guard")
-    _, rows = _packed_rows(modulus)
     states = {(0, 0)}
     for (o, p), mult in Counter(part).items():
-        row = rows[p * (modulus // o) % modulus]
+        row = _packed_tower_row(modulus, p * (modulus // o) % modulus)
         states = {(c + j, v + j * row) for c, v in states for j in range(mult + 1)}
     values = frozenset(v for c, v in states if 0 < c < n)
     return 0 in values, values
 
 
 def is_minimal_vanishing(s: Sorou) -> MinimalityVerdict:
-    """Certify s by the subsidiary criterion."""
-    if not s:
-        raise ValueError("empty sorou")
+    """Certify s by the subsidiary criterion: conditions (ii) and (iii) are
+    `assembly_criterion` on the parts of to_subsidiary(s)."""
+    if not is_vanishing(s):
+        return MinimalityVerdict(False, False, FAIL_NOT_VANISHING)
     r = relative_order(s)
     if r == 1 or not is_squarefree(r):
-        if is_vanishing(s):
-            return MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
-        return MinimalityVerdict(False, False, FAIL_NOT_VANISHING)
-
-    dec = to_subsidiary(s)
-    modulus = math.lcm(*(o for part in dec.parts for o, _ in part), 1)
-    part_residues = [residue(part, modulus) for part in dec.parts]
-    if any(res != part_residues[0] for res in part_residues[1:]):
-        return MinimalityVerdict(False, False, FAIL_NOT_VANISHING)
-    if part_residues[0].is_zero():
-        return MinimalityVerdict(True, False, FAIL_VALUE_ZERO_F0)
-
-    subsets = {part: _proper_subsorou_residues(part, modulus) for part in set(dec.parts)}
-    if any(subsets[part][0] for part in dec.parts):
         return MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
-    value_sets = [subsets[part][1] for part in dec.parts]
-    if all(value_sets) and reduce(frozenset.intersection, value_sets):
-        return MinimalityVerdict(True, False, FAIL_COMMON_SUBVALUE)
-    return MinimalityVerdict(True, True, None)
+    dec = to_subsidiary(s)
+    f0 = dec.parts[0]
+    if is_vanishing(f0):
+        return MinimalityVerdict(True, False, FAIL_VALUE_ZERO_F0)
+    failing = assembly_criterion(dec.top_prime, f0, dec.parts)(dec.parts)
+    return MinimalityVerdict(True, failing is None, failing)
 
 
 def assembly_criterion(
     p: int, f0: Sorou, options: Iterable[Sorou]
-) -> Callable[[tuple[Sorou, ...]], bool]:
-    """The minimality test of g = sum_j nu_p^j slots[j], read on the slots.
+) -> Callable[[tuple[Sorou, ...]], str | None]:
+    """The minimality test of g = sum_j nu_p^j slots[j], read on the slots:
+    the closure returns the failing condition, or None when g is minimal.
 
-    Every slot is f0 or one of `options`, each f0 - v for a vanishing v that
-    contains f0, so every slot has f0's value, which is nonzero.  When f0
-    and every option have order dividing Q, the product of the primes below
-    p, g has squarefree relative order with top prime p and the parts of
-    to_subsidiary(g) are its slots up to a cyclic shift and one common
-    rotation.  Conditions (ii) and (iii) of the criterion do not change
-    under either, so g is minimal iff no slot has a vanishing proper
-    subsorou and the slots share no proper subsorou value.  Some slot is f0,
-    since a type has at most p - 1 subtypes, so a shared value is one of
-    f0's: each distinct slot keeps only the values it shares with f0,
-    computed once, on first use, at the lcm of all slot orders.
+    Every slot is f0 or one of `options`, each of f0's value, which is
+    nonzero: enumeration offers f0 - v for a vanishing v that contains f0,
+    and a subsidiary decomposition of a vanishing sorou has parts of equal
+    value.  When f0 and every option have order dividing Q, the product of
+    the primes below p, g has squarefree relative order with top prime p and
+    the parts of to_subsidiary(g) are its slots up to a cyclic shift and one
+    common rotation.  Conditions (ii) and (iii) of the criterion do not
+    change under either, so g is minimal iff no slot has a vanishing proper
+    subsorou and the slots share no proper subsorou value.  Some slot is f0
+    (a type has at most p - 1 subtypes, and f0 is the first part of a
+    decomposition), so a shared value is one of f0's: each distinct slot
+    keeps only the values it shares with f0, computed once, on first use, at
+    the lcm of all slot orders, which divides Q and so is squarefree.
 
     Slots outside Q only occur in types built by hand, such as (R3 : R3);
     their assemblies g are built and given to is_minimal_vanishing.
@@ -138,23 +129,23 @@ def assembly_criterion(
     if any(q % order(x) for x in distinct):
         return lambda slots: is_minimal_vanishing(
             from_subsidiary(SubsidiaryDecomposition(p, slots))
-        ).minimal
+        ).failing_condition
     modulus = math.lcm(*map(order, distinct))
-    f0_values = _proper_subsorou_residues(f0, modulus)[1]
+    f0_values = _proper_subsorou_values(f0, modulus)[1]
     shared: dict[Sorou, frozenset | None] = {}  # None: a proper subsorou vanishes
 
-    def minimal(slots: tuple[Sorou, ...]) -> bool:
+    def failing(slots: tuple[Sorou, ...]) -> str | None:
         common = f0_values
         for x in set(slots):
             if x not in shared:
-                zero, values = _proper_subsorou_residues(x, modulus)
+                zero, values = _proper_subsorou_values(x, modulus)
                 shared[x] = None if zero else values & f0_values
             if shared[x] is None:
-                return False
+                return FAIL_INNER_VANISHING
             common = common & shared[x]
-        return not common
+        return FAIL_COMMON_SUBVALUE if common else None
 
-    return minimal
+    return failing
 
 
 def is_minimal_vanishing_bruteforce(s: Sorou) -> bool:

@@ -31,12 +31,13 @@ MINUS_ONE: Root = (2, 1)
 
 # Subset streams are guarded: Prop-2.3 style checks only ever enumerate
 # subsets of subsidiary parts, whose weights stay well below this in scope.
-# The minimality criterion walks no `combinations`: its sub-multiset DP over
-# packed residues sizes the packing width by this guard.  For the users of
-# `sub_multisets_of_size` (`proper_nonempty_subsorous` and minimality's
-# `_smallest_vanishing`) the guard bounds a stream at 2**24 combinations:
-# `combinations` walks every index subset, so repeated terms cost as much as
-# distinct ones.
+# The minimality criterion walks no `combinations`: its sub-multiset DP sums
+# at most this many packed tower rows, whose coordinates are 0 or +-1, so
+# the guard alone fixes the packing width (`cyclotomic.PACK_WIDTH`).  For
+# the users of `sub_multisets_of_size` (`proper_nonempty_subsorous` and
+# minimality's `_smallest_vanishing`) the guard bounds a stream at 2**24
+# combinations: `combinations` walks every index subset, so repeated terms
+# cost as much as distinct ones.
 SUBSET_GUARD_WEIGHT = 24
 
 

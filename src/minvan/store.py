@@ -176,8 +176,12 @@ def save_cache(classes: dict[str, tuple[Sorou, ...]], path: str) -> None:
 
 def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
     """Class lists by type key.  `parse_sorou` parses each distinct term
-    once, so the loaded classes share one object per distinct root."""
+    once, so the loaded classes share one object per distinct root.
+
+    As `save_cache` writes it, each key is one minimal type, the keys are
+    distinct and sorted, and every class has the weight of its type."""
     out: dict[str, tuple[Sorou, ...]] = {}
+    previous = ""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -187,11 +191,20 @@ def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: missing tab separator")
             try:
-                parse_type(key)
+                t = parse_type(key)
                 sorous = tuple(parse_sorou(s) for s in rest.split(",")) if rest else ()
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not t.is_minimal_claim:
+                raise ValueError(f"{path}:{lineno}: cache keys must be single minimal types")
+            if key <= previous:
+                what = "duplicate" if key == previous else "out-of-order"
+                raise ValueError(f"{path}:{lineno}: {what} cache key {key!r}")
+            w = type_weight(t)
+            if any(len(s) != w for s in sorous):
+                raise ValueError(f"{path}:{lineno}: class weight differs from type weight {w}")
             out[key] = sorous
+            previous = key
     return out
 
 

@@ -1,6 +1,111 @@
-"""Shared builders for the worked examples used across the test suite."""
+"""Shared builders for the worked examples used across the test suite, and
+the Phi_N residue oracle.
 
-from minvan.sorou import Sorou, make_root, root_mul, sorou
+The library compares values in tower coordinates; the oracle reduces each
+term nu_o^p, lifted to the monomial x^(p*N/o), modulo Phi_N.  The remainder
+is an integer vector of length phi(N), zero exactly when the complex value
+is zero (Gauss's lemma: Phi_N divides an integer polynomial over Q iff it
+does over Z).  `minimality_by_residues` is the subsidiary criterion decided
+on those residues, with every proper subsorou listed one by one.
+"""
+
+from dataclasses import dataclass
+from functools import cache, reduce
+
+from minvan.arith import is_squarefree
+from minvan.cyclotomic import cyclotomic_poly, is_vanishing
+from minvan.minimality import (
+    FAIL_COMMON_SUBVALUE,
+    FAIL_INNER_VANISHING,
+    FAIL_NOT_VANISHING,
+    FAIL_VALUE_ZERO_F0,
+    MinimalityVerdict,
+)
+from minvan.sorou import (
+    Sorou,
+    make_root,
+    order,
+    proper_nonempty_subsorous,
+    relative_order,
+    root_mul,
+    sorou,
+    to_subsidiary,
+)
+
+
+@cache
+def _monomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_n for k in range(n), as phi(n)-vectors."""
+    phi = cyclotomic_poly(n).coefficients
+    d = len(phi) - 1
+    rows = [(1,) + (0,) * (d - 1)]
+    for _ in range(1, n):
+        prev = rows[-1]
+        carry = prev[-1]
+        row = [0] + list(prev[:-1])
+        if carry:
+            for i in range(d):
+                row[i] -= carry * phi[i]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
+class Residue:
+    """Value of a sorou as the remainder of its lift modulo Phi_N."""
+
+    modulus_order: int
+    coefficients: tuple[int, ...]
+
+    def is_zero(self) -> bool:
+        return not any(self.coefficients)
+
+
+def residue(s: Sorou, modulus: int | None = None) -> Residue:
+    """Exact value of s in Z[x]/(Phi_N); N defaults to the order of s.
+
+    Every term order must divide N.  The empty sorou has the zero residue
+    (at an explicit modulus only).
+    """
+    n = order(s) if modulus is None else modulus
+    rows = _monomial_rows(n)
+    acc = [0] * len(rows[0])
+    for o, p in s:
+        row = rows[p * (n // o) % n]
+        for i, c in enumerate(row):
+            acc[i] += c
+    return Residue(n, tuple(acc))
+
+
+def subsorou_residues(part: Sorou, modulus: int) -> frozenset:
+    """Residue vectors of the proper nonempty subsorous of part, listed one
+    by one."""
+    return frozenset(
+        residue(sub, modulus).coefficients for sub in proper_nonempty_subsorous(part)
+    )
+
+
+def minimality_by_residues(s: Sorou) -> MinimalityVerdict:
+    """The subsidiary criterion on Phi_M residues of the parts, M the lcm of
+    the part orders, with the subsorou values of each part listed one by one."""
+    r = relative_order(s)
+    if r == 1 or not is_squarefree(r):
+        if is_vanishing(s):
+            return MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
+        return MinimalityVerdict(False, False, FAIL_NOT_VANISHING)
+    parts = to_subsidiary(s).parts
+    modulus = order(tuple(sorted(sum(parts, ()))))
+    values = [residue(part, modulus) for part in parts]
+    if any(v != values[0] for v in values[1:]):
+        return MinimalityVerdict(False, False, FAIL_NOT_VANISHING)
+    if values[0].is_zero():
+        return MinimalityVerdict(True, False, FAIL_VALUE_ZERO_F0)
+    subvalues = [subsorou_residues(part, modulus) for part in parts]
+    if any(not any(v) for vs in subvalues for v in vs):
+        return MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
+    if all(subvalues) and reduce(frozenset.intersection, subvalues):
+        return MinimalityVerdict(True, False, FAIL_COMMON_SUBVALUE)
+    return MinimalityVerdict(True, True, None)
 
 
 def prod(*roots) -> tuple[int, int]:

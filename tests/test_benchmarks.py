@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from minvan.cyclotomic import is_vanishing, residue
+from minvan.cyclotomic import is_vanishing
 from minvan.enumeration import sorou_of_minvan_type, type_statistics
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
@@ -96,10 +96,6 @@ def weight16_cache(db16, shared_cache, tmp_path_factory):
 
 def run(benchmark, fn, inputs):
     return benchmark.pedantic(lambda: [fn(s) for s in inputs], rounds=ROUNDS, iterations=1)
-
-
-def test_bench_residue(benchmark, weight16_classes):
-    assert all(r.is_zero() for r in run(benchmark, residue, weight16_classes))
 
 
 def test_bench_canonicalize(benchmark, weight16_classes):

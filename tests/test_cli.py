@@ -155,6 +155,18 @@ def test_report_latex_out_file(db_path, tmp_path, capsys):
         assert "\\begin{longtable}" in fh.read()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+def test_report_out_file_matches_stdout(db_path, tmp_path, capsys, fmt):
+    assert main(["report", "--db", db_path, "--format", fmt]) == 0
+    printed = capsys.readouterr().out.encode()
+    out_path = tmp_path / f"table.{fmt}"
+    out_path.write_text("a longer file that the report must replace entirely\n" * 400)
+    assert main(["report", "--db", db_path, "--format", fmt, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_bytes() == printed
+    assert [p.name for p in tmp_path.iterdir()] == [out_path.name]  # no temp file left
+
+
 def test_phi_command(capsys):
     assert main(["phi", "6"]) == 0
     assert capsys.readouterr().out == "1, -1, 1\n"

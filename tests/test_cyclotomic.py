@@ -11,15 +11,15 @@ import minvan.cyclotomic as cyclotomic
 from minvan.arith import divisors, euler_phi, prime_factors
 from minvan.cyclotomic import (
     IntPolynomial,
-    _monomial_rows,
     cyclotomic_poly,
     is_vanishing,
     numeric_value,
-    residue,
     values_equal,
 )
 from minvan.minimality import FAIL_INNER_VANISHING, is_minimal_vanishing
 from minvan.sorou import order, parse_sorou, relative_order, sorou
+
+from helpers import _monomial_rows, residue
 
 
 def naive_poly_mul(a, b):

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minvan.arith import is_squarefree
-from minvan.cyclotomic import _monomial_rows, _packed_rows, is_vanishing, residue
+from minvan.arith import euler_phi, is_squarefree, prime_factors
+from minvan.cyclotomic import (
+    PACK_WIDTH,
+    _packed_tower_row,
+    cyclotomic_poly,
+    is_vanishing,
+    values_equal,
+)
 from minvan.enumeration import sorou_of_minvan_type
 from minvan.minimality import (
     FAIL_VALUE_ZERO_F0,
@@ -15,7 +21,7 @@ from minvan.minimality import (
     FAIL_INNER_VANISHING,
     FAIL_NOT_VANISHING,
     MinimalityVerdict,
-    _proper_subsorou_residues,
+    _proper_subsorou_values,
     decompose_into_minimal,
     is_minimal_vanishing,
     is_minimal_vanishing_bruteforce,
@@ -25,15 +31,15 @@ from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
     make_root,
     parse_sorou,
-    proper_nonempty_subsorous,
     relative_order,
+    root_mul,
     rotate,
     sorou,
     to_subsidiary,
 )
 from minvan.types import representative_sorou
 
-from helpers import weight21_height2_sorou
+from helpers import minimality_by_residues, subsorou_residues, weight21_height2_sorou
 
 R2 = parse_sorou("1:0+2:1")
 R3 = parse_sorou("1:0+3:1+3:2")
@@ -124,7 +130,7 @@ def test_lemma_2p_small_orders(db16):
 
 
 def test_certified_minimal_has_squarefree_relative_order(db16):
-    from minvan.arith import is_squarefree
+    from minvan.arith import euler_phi, is_squarefree, prime_factors
 
     for record in db16.records:
         assert all(is_squarefree(r) for r in record.relative_orders)
@@ -168,7 +174,7 @@ def test_repeated_terms_through_the_criterion():
 
 def test_packed_kernel_keeps_the_guard():
     with pytest.raises(ValueError, match="subset explosion"):
-        _proper_subsorou_residues(((1, 0),) * (SUBSET_GUARD_WEIGHT + 1), 1)
+        _proper_subsorou_values(((1, 0),) * (SUBSET_GUARD_WEIGHT + 1), 1)
 
 
 def _unpack(v: int, width: int, length: int) -> tuple[int, ...]:
@@ -184,30 +190,72 @@ def _unpack(v: int, width: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-@pytest.mark.parametrize("n", [105, 2310])
-def test_packing_width_covers_the_subsum_bound(n):
-    rows = _monomial_rows(n)
-    width, packed = _packed_rows(n)
-    biggest = max(abs(c) for row in rows for c in row)
-    assert biggest > 1
-    assert 1 << (width - 1) > 2 * SUBSET_GUARD_WEIGHT * biggest
-    assert all(_unpack(v, width, len(row)) == row for v, row in zip(packed, rows))
-    # The extreme sub-sums: SUBSET_GUARD_WEIGHT copies of the row holding the
-    # largest coefficient, of its negation, and random mixed-sign sums.
-    k = max(range(n), key=lambda k: max(map(abs, rows[k])))
+def _tower_coordinates(n: int, e: int) -> tuple[int, ...]:
+    """zeta_n^e by definition: the tensor product over the primes p of n,
+    smallest varying fastest, of zeta_p^(e mod p) in the basis zeta_p^1 ..
+    zeta_p^(p-1), where zeta_p^0 = -(zeta_p^1 + ... + zeta_p^(p-1))."""
+    vector = [1]
+    for p in prime_factors(n):
+        j = e % p
+        factor = [int(k == j) for k in range(1, p)] if j else [-1] * (p - 1)
+        vector = [f * v for f in factor for v in vector]
+    return tuple(vector)
+
+
+@pytest.mark.parametrize("n", [210, 2310])
+def test_tower_packing_covers_the_subsum_bound(n):
+    assert 1 << (PACK_WIDTH - 1) > 2 * SUBSET_GUARD_WEIGHT
+    rows = [_tower_coordinates(n, e) for e in range(n)]
+    assert all(len(row) == euler_phi(n) for row in rows)
+    packed = lambda es: sum(_packed_tower_row(n, e) for e in es)
+    assert all(_unpack(packed([e]), PACK_WIDTH, len(row)) == row for e, row in enumerate(rows))
+    # Rows are values: a rotated R_p packs to 0, and random sub-sums pack
+    # equal exactly when their values are equal.
+    for p in prime_factors(n):
+        assert packed((7 + k * n // p) % n for k in range(p)) == 0
     rng = random.Random(n)
-    picks = [[k] * SUBSET_GUARD_WEIGHT]
+    picks = [[0] * SUBSET_GUARD_WEIGHT]
     picks += [rng.choices(range(n), k=rng.randint(1, SUBSET_GUARD_WEIGHT)) for _ in range(200)]
-    for ks in picks:
+    for es in picks:
         for sign in (1, -1):
-            vector = tuple(sign * sum(col) for col in zip(*(rows[i] for i in ks)))
-            assert _unpack(sign * sum(packed[i] for i in ks), width, len(vector)) == vector
+            vector = tuple(sign * sum(col) for col in zip(*(rows[e] for e in es)))
+            assert _unpack(sign * packed(es), PACK_WIDTH, len(vector)) == vector
+    for _ in range(100):
+        a = rng.choices(range(n), k=rng.randint(1, 6))
+        p = rng.choice(prime_factors(n))
+        # zeta^e = -(zeta^(e + n/p) + ... + zeta^(e + (p-1)n/p)), -1 = zeta^(n/2)
+        b = a[1:] + [(a[0] + k * n // p + n // 2) % n for k in range(1, p)]
+        for c in (b, b[:-1] + [(b[-1] + 1) % n]):
+            same = values_equal(sorou((n, e) for e in a), sorou((n, e) for e in c))
+            assert same == (packed(a) == packed(c))
 
 
-def _proper_subsorou_residues_by_subsets(part, modulus):
-    """The replaced kernel: residue() of every proper nonempty subsorou."""
-    values = {residue(sub, modulus).coefficients for sub in proper_nonempty_subsorous(part)}
-    return any(not any(v) for v in values), frozenset(values)
+@pytest.mark.parametrize("n", [4, 12, 90, 2 * 3 * 5 * 7 * 7])
+def test_tower_packing_needs_a_squarefree_modulus(n):
+    with pytest.raises(ValueError, match="squarefree"):
+        _packed_tower_row(n, 1)
+    with pytest.raises(ValueError, match="squarefree"):
+        _proper_subsorou_values(sorou([(1, 0), (n, 1)]), n)
+
+
+def test_top_prime_30030_builds_no_phi():
+    # R_13 + nu_210 R_11 has relative order 30030; its parts at 13 have
+    # orders dividing 2310, and one holds the rotated R_11.
+    r11 = parse_sorou("+".join(["1:0"] + [f"11:{k}" for k in range(1, 11)]))
+    r13 = parse_sorou("+".join(["1:0"] + [f"13:{k}" for k in range(1, 13)]))
+    s = tuple(sorted(r13 + rotate(r11, (210, 1))))
+    assert relative_order(s) == 30030
+    parts = to_subsidiary(s).parts
+    assert math.lcm(*(o for part in parts for o, _ in part)) == 2310
+    before = cyclotomic_poly.cache_info()
+    assert is_minimal_vanishing(s) == MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
+    assert cyclotomic_poly.cache_info() == before
+
+
+def _proper_subsorou_values_by_subsets(part, modulus):
+    """The oracle's kernel, shaped like `_proper_subsorou_values`."""
+    values = subsorou_residues(part, modulus)
+    return any(not any(v) for v in values), values
 
 
 def _common_subvalue(value_sets) -> bool:
@@ -215,8 +263,8 @@ def _common_subvalue(value_sets) -> bool:
 
 
 def assert_kernels_agree(parts, modulus):
-    new = [_proper_subsorou_residues(part, modulus) for part in parts]
-    old = [_proper_subsorou_residues_by_subsets(part, modulus) for part in parts]
+    new = [_proper_subsorou_values(part, modulus) for part in parts]
+    old = [_proper_subsorou_values_by_subsets(part, modulus) for part in parts]
     for (new_zero, new_values), (old_zero, old_values) in zip(new, old):
         assert new_zero == old_zero
         assert len(new_values) == len(old_values)
@@ -257,3 +305,64 @@ def test_packed_kernel_matches_subset_kernel_on_database(db16, shared_cache):
             assert_kernels_agree(parts, math.lcm(*(o for part in parts for o, _ in part)))
             checked += 1
     assert checked > 1000
+
+
+# One sorou per verdict: minimal, each failing condition, repeated terms and
+# a relative order that is not squarefree.
+VERDICT_EXAMPLES = [
+    ("5:1+5:2+5:3+5:4+6:1+6:5", None),
+    ("1:0+3:1+3:2+5:1+5:2+5:3+5:4", FAIL_NOT_VANISHING),
+    ("1:0+2:1+3:1+6:5+3:2+6:1", FAIL_VALUE_ZERO_F0),
+    ("1:0+3:1+3:2+3:1+15:8+15:11+15:14+15:2", FAIL_INNER_VANISHING),
+    ("1:0+5:1+5:2+5:3+5:4+3:1+15:8+15:11+15:14+15:2", FAIL_COMMON_SUBVALUE),
+    ("1:0+1:0+2:1+2:1", FAIL_COMMON_SUBVALUE),
+    ("1:0+4:1+2:1+4:3", FAIL_INNER_VANISHING),
+    ("4:1+4:1", FAIL_NOT_VANISHING),
+]
+
+
+@pytest.mark.parametrize("text, condition", VERDICT_EXAMPLES)
+def test_verdict_examples_match_the_residue_criterion(text, condition):
+    s = parse_sorou(text)
+    verdict = is_minimal_vanishing(s)
+    assert verdict.failing_condition == condition
+    assert verdict == minimality_by_residues(s)
+
+
+RP = {p: sorou([(p, k) for k in range(p)]) for p in (2, 3, 5, 7)}
+PIECE_ROOTS = st.tuples(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 18, 30]), st.integers(0, 35)
+)
+
+
+@st.composite
+def criterion_inputs(draw):
+    """Sums of rotated R_p, products R_p R_q and the minimal H6, sometimes
+    with a term dropped or added: every verdict, with repeated terms and
+    orders divisible by 4 or 9 among them.  At most 15 terms, so that the
+    oracle lists the subsorous of every part quickly."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["rp", "rp", "product", "h6"]))
+        if kind == "rp":
+            piece = RP[draw(st.sampled_from([2, 3, 5, 7]))]
+        elif kind == "product":
+            p, q = draw(st.sampled_from([(2, 3), (2, 5), (3, 5)]))
+            piece = sorou(root_mul(a, b) for a in RP[p] for b in RP[q])
+        else:
+            piece = H6
+        if terms and len(terms) + len(piece) > 14:
+            break
+        terms += rotate(piece, make_root(*draw(PIECE_ROOTS)))
+    tweak = draw(st.sampled_from(["none", "none", "none", "drop", "add"]))
+    if tweak == "drop" and len(terms) > 1:
+        del terms[draw(st.integers(0, len(terms) - 1))]
+    elif tweak == "add":
+        terms.append(make_root(*draw(PIECE_ROOTS)))
+    return sorou(terms)
+
+
+@given(criterion_inputs())
+@settings(max_examples=300, deadline=None)
+def test_verdict_matches_the_residue_criterion(s):
+    assert is_minimal_vanishing(s) == minimality_by_residues(s)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minvan.arith import is_squarefree, prime_factors, units
-from minvan.cyclotomic import is_vanishing, residue
+from minvan.cyclotomic import is_vanishing
 from minvan.minimality import is_minimal_vanishing, top_prime
 from minvan.sorou import (
     ONE,
@@ -36,6 +36,8 @@ from minvan.sorou import (
     to_subsidiary,
     weight,
 )
+
+from helpers import residue
 
 R3 = parse_sorou("1:0+3:1+3:2")
 R5 = parse_sorou("1:0+5:1+5:2+5:3+5:4")

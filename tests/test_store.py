@@ -14,7 +14,7 @@ from minvan.store import (
 )
 from minvan.types import parse_type, render_type
 
-from table1_fixture import T, R5_R3
+from table1_fixture import T, R3, R5_R3
 
 
 def test_db_round_trip(db16, tmp_path):
@@ -100,6 +100,42 @@ def test_cache_bad_entry(tmp_path):
     path.write_text("(R5;1:0;(R3;1:0))\tnot a sorou\n")
     with pytest.raises(ValueError):
         load_cache(str(path))
+
+
+def _corrupt_cache(tmp_path, shared_cache, edit):
+    """A two-key cache of R3 and R5:R3 whose lines `edit` rewrites."""
+    data = {render_type(T(m)): sorou_of_minvan_type(m, shared_cache) for m in (R3, R5_R3)}
+    path = tmp_path / "corrupt.cache"
+    save_cache(data, str(path))
+    lines = path.read_text().splitlines()
+    assert [line.split("\t")[0] for line in lines] == ["(R3;1:0)", "(R5;1:0;(R3;1:0))"]
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return str(path)
+
+
+def test_cache_rejects_a_sum_type_key(tmp_path, shared_cache):
+    sum_key = "(R3;1:0)&(R3;1:0)"
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], sum_key + ls[1][ls[1].index("\t") :]])
+    with pytest.raises(ValueError, match="corrupt.cache:2: cache keys must be single minimal types"):
+        load_cache(path)
+
+
+def test_cache_rejects_a_duplicate_key(tmp_path, shared_cache):
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], ls[0], ls[1]])
+    with pytest.raises(ValueError, match="corrupt.cache:2: duplicate cache key"):
+        load_cache(path)
+
+
+def test_cache_rejects_keys_out_of_order(tmp_path, shared_cache):
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[1], ls[0]])
+    with pytest.raises(ValueError, match="corrupt.cache:2: out-of-order cache key"):
+        load_cache(path)
+
+
+def test_cache_rejects_a_class_of_the_wrong_weight(tmp_path, shared_cache):
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], ls[1] + ",1:0+2:1"])
+    with pytest.raises(ValueError, match="corrupt.cache:2: class weight differs from type weight 6"):
+        load_cache(path)
 
 
 def test_csv_rows(db16):
