@@ -13,7 +13,6 @@ from minvan.minimality import (
     decompose_into_minimal,
     is_minimal_vanishing,
     is_minimal_vanishing_bruteforce,
-    top_prime,
 )
 from minvan.sorou import (
     ONE,
@@ -36,6 +35,7 @@ from minvan.sorou import (
     split_root,
     subtract,
     to_subsidiary,
+    top_prime,
     weight,
 )
 from minvan.store import (

@@ -20,7 +20,7 @@ import time
 
 from minvan import enumeration, store, typegen
 from minvan.cyclotomic import cyclotomic_poly
-from minvan.minimality import is_minimal_vanishing, top_prime
+from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
     Sorou,
     height,
@@ -29,6 +29,7 @@ from minvan.sorou import (
     parse_sorou,
     relative_order,
     render_sorou,
+    top_prime,
     weight,
 )
 from minvan.types import infer_type, parse_type, render_type, render_type_latex

@@ -112,7 +112,7 @@ def _assemblies(m: MinVanType, cache: SorouCache, anchor: bool = True):
     p = m.p
     target = type_weight(TypeSum((m,)))
     labels, pools = _slot_pools(m, cache)
-    failing = assembly_criterion(p, m.f0, chain.from_iterable(pools[:-1]))
+    failing = assembly_criterion(m.f0, chain.from_iterable(pools[:-1]))
     empty = [len(pools) - 1] * (p - len(labels))
     if anchor and labels:
         placements = ((labels[0],) + rest for rest in distinct_permutations(labels[1:] + empty))

@@ -14,7 +14,9 @@ Two independent routes decide whether a vanishing sorou is minimal:
 
 Conditions (ii) and (iii) have one implementation, `assembly_criterion`,
 which reads them on slots: enumeration gives it the slots it assembles, and
-`is_minimal_vanishing` the parts of its subsidiary decomposition.
+`is_minimal_vanishing` the parts of its subsidiary decomposition.  Both lie
+in mu_Q, Q the product of the primes below the top prime, so the criterion
+has one path and never calls back into `is_minimal_vanishing`.
 
 A vanishing sorou whose relative order is not squarefree cannot be minimal
 (Mann), so it is refused without decomposing.
@@ -27,13 +29,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from minvan.arith import is_squarefree, prime_factors, primes_below
+from minvan.arith import is_squarefree
 from minvan.cyclotomic import _packed_tower_row, is_vanishing, numeric_value
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
     Sorou,
-    SubsidiaryDecomposition,
-    from_subsidiary,
     order,
     relative_order,
     render_sorou,
@@ -54,17 +54,6 @@ class MinimalityVerdict:
     vanishing: bool
     minimal: bool
     failing_condition: str | None = None
-
-
-def top_prime(s: Sorou) -> int:
-    """Largest prime of relative_order(s), the prime `to_subsidiary` splits
-    at, found without decomposing s."""
-    r = relative_order(s)
-    if not is_squarefree(r):
-        raise ValueError("subsidiary decomposition undefined: relative order not squarefree")
-    if r == 1:
-        raise ValueError("no top prime: relative order 1")
-    return prime_factors(r)[-1]
 
 
 def _proper_subsorou_values(part: Sorou, modulus: int) -> tuple[bool, frozenset]:
@@ -97,12 +86,12 @@ def is_minimal_vanishing(s: Sorou) -> MinimalityVerdict:
     f0 = dec.parts[0]
     if is_vanishing(f0):
         return MinimalityVerdict(True, False, FAIL_VALUE_ZERO_F0)
-    failing = assembly_criterion(dec.top_prime, f0, dec.parts)(dec.parts)
+    failing = assembly_criterion(f0, dec.parts)(dec.parts)
     return MinimalityVerdict(True, failing is None, failing)
 
 
 def assembly_criterion(
-    p: int, f0: Sorou, options: Iterable[Sorou]
+    f0: Sorou, options: Iterable[Sorou]
 ) -> Callable[[tuple[Sorou, ...]], str | None]:
     """The minimality test of g = sum_j nu_p^j slots[j], read on the slots:
     the closure returns the failing condition, or None when g is minimal.
@@ -110,27 +99,20 @@ def assembly_criterion(
     Every slot is f0 or one of `options`, each of f0's value, which is
     nonzero: enumeration offers f0 - v for a vanishing v that contains f0,
     and a subsidiary decomposition of a vanishing sorou has parts of equal
-    value.  When f0 and every option have order dividing Q, the product of
-    the primes below p, g has squarefree relative order with top prime p and
-    the parts of to_subsidiary(g) are its slots up to a cyclic shift and one
-    common rotation.  Conditions (ii) and (iii) of the criterion do not
+    value.  Precondition: f0 and every option lie in mu_Q, Q the product of
+    the primes below p.  The parts of a subsidiary decomposition at p do,
+    and so do the options of a type, whose subtypes have top primes below p
+    (`types.MinVanType`).  Then g has squarefree relative order with top
+    prime p, and the parts of to_subsidiary(g) are its slots up to a cyclic
+    shift and one common rotation.  Conditions (ii) and (iii) do not
     change under either, so g is minimal iff no slot has a vanishing proper
     subsorou and the slots share no proper subsorou value.  Some slot is f0
     (a type has at most p - 1 subtypes, and f0 is the first part of a
     decomposition), so a shared value is one of f0's: each distinct slot
     keeps only the values it shares with f0, computed once, on first use, at
     the lcm of all slot orders, which divides Q and so is squarefree.
-
-    Slots outside Q only occur in types built by hand, such as (R3 : R3);
-    their assemblies g are built and given to is_minimal_vanishing.
     """
-    distinct = {f0, *options}
-    q = math.prod(primes_below(p))
-    if any(q % order(x) for x in distinct):
-        return lambda slots: is_minimal_vanishing(
-            from_subsidiary(SubsidiaryDecomposition(p, slots))
-        ).failing_condition
-    modulus = math.lcm(*map(order, distinct))
+    modulus = math.lcm(*map(order, {f0, *options}))
     f0_values = _proper_subsorou_values(f0, modulus)[1]
     shared: dict[Sorou, frozenset | None] = {}  # None: a proper subsorou vanishes
 

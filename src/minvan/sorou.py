@@ -138,12 +138,22 @@ def relative_order(s: Sorou) -> int:
     return n // math.gcd(n, *(e - es[0] for e in es))
 
 
-def _anchor(s: Sorou) -> tuple[Sorou, int]:
-    """(s rotated to take its first term to 1, relative_order(s))."""
+def _anchor(s: Sorou) -> Sorou:
+    """s rotated to take its first term to 1; its order is relative_order(s)."""
     if not s:
         raise ValueError("empty sorou")
-    rep = s if s[0] == ONE else rotate(s, root_inv(s[0]))
-    return rep, order(rep)
+    return s if s[0] == ONE else rotate(s, root_inv(s[0]))
+
+
+def top_prime(s: Sorou) -> int:
+    """Largest prime of relative_order(s), the prime `to_subsidiary` splits
+    at, found without decomposing s."""
+    r = relative_order(s)
+    if not is_squarefree(r):
+        raise ValueError("subsidiary decomposition undefined: relative order not squarefree")
+    if r == 1:
+        raise ValueError("no top prime: relative order 1")
+    return prime_factors(r)[-1]
 
 
 def parity(s: Sorou) -> tuple[int, int]:
@@ -152,8 +162,8 @@ def parity(s: Sorou) -> tuple[int, int]:
     Computed on a rotation representative whose order equals the relative
     order; defined only when that order is squarefree.
     """
-    rep, r = _anchor(s)
-    if not is_squarefree(r):
+    rep = _anchor(s)
+    if not is_squarefree(order(rep)):
         raise ValueError("parity undefined: relative order not squarefree")
     odd = sum(1 for o, _ in rep if o % 2)
     return (max(odd, len(rep) - odd), min(odd, len(rep) - odd))
@@ -322,12 +332,8 @@ class SubsidiaryDecomposition:
 def to_subsidiary(s: Sorou) -> SubsidiaryDecomposition:
     """Decompose s at its top prime, normalized so that f_0 is a nonempty
     part of minimal weight containing the root 1."""
-    rep, r = _anchor(s)
-    if not is_squarefree(r):
-        raise ValueError("subsidiary decomposition undefined: relative order not squarefree")
-    if r == 1:
-        raise ValueError("no top prime: relative order 1")
-    p = prime_factors(r)[-1]
+    rep = _anchor(s)
+    p = top_prime(rep)
     buckets: list[list[Root]] = [[] for _ in range(p)]
     for t in rep:
         head, tail = split_root(t, p)

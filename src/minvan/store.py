@@ -23,6 +23,7 @@ from minvan.types import (
     render_type_latex,
     sum_key,
     type_weight,
+    weight_partition,
 )
 
 DB_FORMAT = "minvan-db v1"
@@ -147,6 +148,12 @@ def load_db(path: str) -> TypeDatabase:
             raise ValueError(f"{path}:{lineno}: database rows must be minimal types")
         if type_weight(t) != weight:
             raise ValueError(f"{path}:{lineno}: weight {weight} != type weight {type_weight(t)}")
+        expected = weight_partition(t.components[0])
+        if partition != expected:
+            raise ValueError(
+                f"{path}:{lineno}: partition {fields[3]} != type partition "
+                f"{_render_partition(expected)}"
+            )
         if weight > db.max_complete_weight:
             raise ValueError(f"{path}:{lineno}: record beyond max complete weight")
         if equisigned != any(a == b for a, b in parities):

@@ -31,7 +31,6 @@ from minvan.sorou import (
     Sorou,
     canonicalize,
     sorou,
-    weight,
 )
 from minvan.types import (
     MinVanType,
@@ -84,14 +83,11 @@ def candidate_f0s(w: int, p: int, collapse: bool) -> list[Sorou]:
     if w == 1:
         return [(ONE,)]
     q = math.prod(primes_below(p))
-    if q == 1:
-        return []
     out = set()
     for exps in combinations(range(1, q), w - 1):
         f0 = sorou([(1, 0)] + [(q, e) for e in exps])
-        if weight(f0) != w or _smallest_vanishing(f0):
-            continue
-        out.add(canonicalize(f0))
+        if not _smallest_vanishing(f0):
+            out.add(canonicalize(f0))
     if collapse:
         out = {_f0_family_representative(f0) for f0 in out}
     return sorted(out)
@@ -170,16 +166,9 @@ def _candidates(db, cfg: GenerationConfig) -> Iterator[MinVanType]:
     for p in primes_upto(w1):
         for partition in partitions_into_parts(w1, p):
             parts = tuple(sorted(partition))
-            if all(x == 1 for x in parts):
-                yield MinVanType(p, (ONE,))
-                continue
             for f0 in candidate_f0s(parts[0], p, db.collapse):
                 for subtypes in _subtype_combos(parts, p, pool):
-                    try:
-                        m = MinVanType(p, f0, subtypes)
-                    except ValueError:
-                        continue
-                    yield m
+                    yield MinVanType(p, f0, subtypes)
 
 
 def _certify(candidate: MinVanType, cache: SorouCache) -> bool:
@@ -237,10 +226,7 @@ def types_2pq_oracle(
             for nj in range(1, q):
                 if nj * (p - size) + (q - nj) * size > weight_cap:
                     continue
-                try:
-                    cand = MinVanType(q, f0, (rp,) * nj)
-                except ValueError:
-                    continue
+                cand = MinVanType(q, f0, (rp,) * nj)
                 if _certify(cand, cache):
                     found.append(cand)
     out: dict = {}

@@ -7,6 +7,10 @@ differ from f0.  Sums ``T_1 (+) ... (+) T_k`` describe non-minimal vanishing
 sorou.  Values are frozen; every constructor normalizes, so structural
 equality is canonical equality.
 
+Every slot f_j lies in mu_Q, Q the product of the primes below p, so the
+constructor rejects a subtype component whose top prime is not below p,
+such as the R3 of (R3 : R3).
+
 A strict total order on types drives deterministic storage: weight first,
 then component count, then componentwise (p, w(f0), exact term phases as
 rationals, subtype count, subtypes recursively).
@@ -69,6 +73,8 @@ class MinVanType:
                 raise ValueError("subtype weight below twice the f0 weight")
             if len(t.components) > w0:
                 raise ValueError("subtype with more minimal components than w(f0)")
+            if any(c.p >= self.p for c in t.components):
+                raise ValueError("subtype top prime must be below p")
         object.__setattr__(
             self, "subtypes", tuple(sorted(self.subtypes, key=sum_key, reverse=True))
         )
@@ -336,6 +342,13 @@ def infer_type(s: Sorou) -> TypeSum:
     determinism comes from the extraction rule in decompose_into_minimal)."""
     if not is_minimal_vanishing(s).minimal:
         raise ValueError("type inference requires a minimal vanishing sorou")
+    return TypeSum((_infer_minvan(s),))
+
+
+def _infer_minvan(s: Sorou) -> MinVanType:
+    """The type `infer_type` gives s, which must be minimal vanishing.  The
+    pieces recursed into are minimal by construction: each is a vanishing
+    sub-multiset of least weight, so none is certified again."""
     dec = to_subsidiary(s)
     f0 = dec.parts[0]
     subtypes = []
@@ -343,9 +356,8 @@ def infer_type(s: Sorou) -> TypeSum:
         if part == f0:
             continue
         pieces = decompose_into_minimal(_formal_difference(f0, part))
-        comps = tuple(chain.from_iterable(infer_type(piece).components for piece in pieces))
-        subtypes.append(TypeSum(comps))
-    return TypeSum((MinVanType(dec.top_prime, f0, tuple(subtypes)),))
+        subtypes.append(TypeSum(tuple(map(_infer_minvan, pieces))))
+    return MinVanType(dec.top_prime, f0, tuple(subtypes))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,17 @@ def test_enumerate_writes_the_cache_only_when_a_type_is_added(tmp_path, monkeypa
     capsys.readouterr()
 
 
+def test_enumerate_refuses_a_subtype_at_the_top_prime(db_path, capsys):
+    cache_path = db_path + ".cache"
+    before = os.stat(cache_path)
+    text = open(cache_path).read()
+    assert main(["enumerate", "(R3;1:0;(R3;1:0))", "--db", db_path]) == 2
+    assert "subtype top prime must be below p" in capsys.readouterr().err
+    after = os.stat(cache_path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert open(cache_path).read() == text
+
+
 def test_report_csv_stdout(db_path, capsys):
     assert main(["report", "--db", db_path, "--format", "csv"]) == 0
     out = capsys.readouterr().out

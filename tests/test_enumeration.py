@@ -1,13 +1,17 @@
+import math
 import sys
 from collections import Counter
+from itertools import chain
 
 import pytest
 
 import minvan.enumeration as enumeration
+from minvan.arith import primes_below
 from minvan.enumeration import (
     SorouCache,
     _assemblies,
     _iter_assembled,
+    _slot_pools,
     has_minimal_realization,
     sorou_of_minvan_type,
     sorou_of_typesum_anchored,
@@ -21,6 +25,7 @@ from minvan.sorou import (
     from_subsidiary,
     height,
     is_subsorou,
+    order,
     parity,
     parse_sorou,
     relative_order,
@@ -31,6 +36,11 @@ from minvan.typegen import GenerationConfig, _candidates, generate_next_weight
 from minvan.types import minvan_weight, parse_type, render_minvan, render_type
 
 from table1_fixture import M, T, R2, R3, R5, R5_R3
+
+# One of the four weight-13 candidates that generation drops because every
+# subtype is a sum (test_minvan_filter_drops_only_uncertifiable_candidates):
+# a real candidate with assemblies, none of them minimal.
+UNCERTIFIABLE = parse_type("(R5;1:0+6:1;(R3;1:0)&(R3;1:0);(R3;1:0)&(R2;1:0))").components[0]
 
 
 def test_r3_single_class():
@@ -137,54 +147,75 @@ def test_enumerated_invariants(db16, shared_cache):
 
 
 def test_missing_realization_raises(shared_cache):
-    # (R_3 : R_3) is structurally well-formed but has no minimal realization:
-    # its assembled sorou always contains a vanishing R_3.
-    bad = M(3, T(R3))
-    with pytest.raises(ValueError):
-        type_statistics(bad, SorouCache())
+    with pytest.raises(ValueError, match="type has no minimal realization"):
+        type_statistics(UNCERTIFIABLE, SorouCache())
 
 
 def test_slot_verdicts_match_the_criterion(db16, shared_cache):
-    # Every assembly of every certification candidate through weight 17 is
-    # decided on its slots; the criterion on the assembled sorou must agree.
-    # (R3 : R3) has slots of order 6, outside the product of the primes
-    # below 3, so its one assembly takes the guarded branch.  Every
+    # Every assembly of every certification candidate through weight 17,
+    # and of the uncertifiable weight-13 candidate, is decided on its
+    # slots; the criterion on the assembled sorou must agree.  Every
     # candidate has the target weight, so certification checks no weight.
     candidates = []
     for w in range(2, 18):
         for m in _candidates(db16, GenerationConfig(target_weight=w)):
             assert minvan_weight(m) == w, render_minvan(m)
             candidates.append(m)
-    failures = Counter()
-    for m in candidates + [M(3, T(R3))]:
-        for slots, minimal in _assemblies(m, shared_cache):
-            verdict = is_minimal_vanishing(from_subsidiary(SubsidiaryDecomposition(m.p, slots)))
-            assert minimal == verdict.minimal, (render_minvan(m), slots)
-            failures[verdict.failing_condition] += 1
-    assert failures == {
+
+    def failures(types):
+        out = Counter()
+        for m in types:
+            for slots, minimal in _assemblies(m, shared_cache):
+                s = from_subsidiary(SubsidiaryDecomposition(m.p, slots))
+                verdict = is_minimal_vanishing(s)
+                assert minimal == verdict.minimal, (render_minvan(m), slots)
+                out[verdict.failing_condition] += 1
+        return out
+
+    assert failures(candidates) == {
         None: 16148,
         "inner-vanishing-subsorou": 18,
         "common-subvalue": 9,
-        "value-zero-f0": 1,  # (R3 : R3)
     }
+    assert failures([UNCERTIFIABLE]) == {"inner-vanishing-subsorou": 8}
+
+
+def test_every_slot_option_lies_in_mu_q(db16, shared_cache):
+    # The precondition of the slot criterion: a type's subtypes have top
+    # primes below p, so each slot it can take, f0 included, has order
+    # dividing Q, the product of the primes below p.
+    candidates = [
+        m for w in range(2, 18) for m in _candidates(db16, GenerationConfig(target_weight=w))
+    ]
+    for m in candidates + [UNCERTIFIABLE]:
+        q = math.prod(primes_below(m.p))
+        _, pools = _slot_pools(m, shared_cache)
+        for x in chain.from_iterable(pools):
+            assert q % order(x) == 0, (render_minvan(m), x)
 
 
 def test_assembled_forms_match_canonicalize(db16, shared_cache):
     # The exponent-native assembler against the kernels it replaced: every
-    # assembly of every candidate through weight 16, plus (R3 : R3), built
-    # as a sorou and canonicalized at its own order.
+    # assembly of every candidate through weight 16, and of the
+    # uncertifiable weight-13 candidate, built as a sorou and canonicalized
+    # at its own order.
     candidates = [
         m for w in range(2, 17) for m in _candidates(db16, GenerationConfig(target_weight=w))
     ]
-    assemblies = 0
-    for m in candidates + [M(3, T(R3))]:
-        pairs = zip(_assemblies(m, shared_cache), _iter_assembled(m, shared_cache), strict=True)
-        for (slots, minimal), (form, assembled_minimal) in pairs:
-            s = from_subsidiary(SubsidiaryDecomposition(m.p, slots))
-            assert form == canonicalize(s), (render_minvan(m), slots)
-            assert assembled_minimal == minimal
-            assemblies += 1
-    assert assemblies == 5978  # 103 candidates and (R3 : R3)
+
+    def assemblies(types):
+        count = 0
+        for m in types:
+            pairs = zip(_assemblies(m, shared_cache), _iter_assembled(m, shared_cache), strict=True)
+            for (slots, minimal), (form, assembled_minimal) in pairs:
+                s = from_subsidiary(SubsidiaryDecomposition(m.p, slots))
+                assert form == canonicalize(s), (render_minvan(m), slots)
+                assert assembled_minimal == minimal
+                count += 1
+        return count
+
+    assert assemblies(candidates) == 5977  # 103 candidates
+    assert assemblies([UNCERTIFIABLE]) == 8
 
 
 def _refuse(*args):
@@ -202,7 +233,7 @@ def test_fallback_builds_no_sorou(monkeypatch, db16, shared_cache):
         key = render_type(record.type)
         cache = SorouCache({k: v for k, v in classes.items() if k != key})
         assert has_minimal_realization(record.type.components[0], cache)
-    assert not has_minimal_realization(M(3, T(R3)), shared_cache)
+    assert not has_minimal_realization(UNCERTIFIABLE, shared_cache)
 
 
 def test_assembler_does_no_root_arithmetic(monkeypatch, db16, shared_cache):

@@ -25,7 +25,6 @@ from minvan.minimality import (
     decompose_into_minimal,
     is_minimal_vanishing,
     is_minimal_vanishing_bruteforce,
-    top_prime,
 )
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
@@ -36,6 +35,7 @@ from minvan.sorou import (
     rotate,
     sorou,
     to_subsidiary,
+    top_prime,
 )
 from minvan.types import representative_sorou
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from minvan.arith import is_squarefree, prime_factors, units
 from minvan.cyclotomic import is_vanishing
-from minvan.minimality import is_minimal_vanishing, top_prime
+from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
     ONE,
     canonicalize,
@@ -34,6 +34,7 @@ from minvan.sorou import (
     sub_multisets_of_size,
     subtract,
     to_subsidiary,
+    top_prime,
     weight,
 )
 

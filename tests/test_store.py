@@ -56,6 +56,17 @@ def test_db_invariant_violation(db16, tmp_path):
         load_db(str(path))
 
 
+def test_db_rejects_a_partition_that_contradicts_the_type(db16, tmp_path):
+    path = tmp_path / "tampered.db"
+    save_db(db16, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("3\t(R3;1:0)\t") and "\t(1;1;1)\t" in lines[2]
+    lines[2] = lines[2].replace("\t(1;1;1)\t", "\t(2;1)\t")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"tampered.db:3: partition \(2;1\) != type partition \(1;1;1\)"):
+        load_db(str(path))
+
+
 def test_cache_round_trip(tmp_path, shared_cache):
     classes = sorou_of_minvan_type(R5_R3, shared_cache)
     data = {render_type(T(R5_R3)): classes}
@@ -171,3 +182,10 @@ def test_reports_require_statistics(tmp_path):
 def test_every_rendered_type_reparses(db16):
     for record in db16.records:
         assert parse_type(render_type(record.type)) == record.type
+
+
+def test_cache_rejects_a_subtype_at_the_top_prime(tmp_path, shared_cache):
+    bad_key = "(R3;1:0;(R3;1:0))"
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], bad_key + "\t"])
+    with pytest.raises(ValueError, match="corrupt.cache:2: subtype top prime must be below p"):
+        load_cache(path)

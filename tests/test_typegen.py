@@ -229,8 +229,10 @@ def test_minvan_filter_drops_only_uncertifiable_candidates(db16, shared_cache):
                         dropped.add(MinVanType(p, f0, subtypes))
                     except ValueError:
                         continue
-    # all four have top prime 5 and an f0 of weight 2
+    # all four have top prime 5 and an f0 of weight 2; test_enumeration
+    # uses this one as its uncertifiable candidate
     assert len(dropped) == 4
+    assert "(R5;1:0+6:1;(R3;1:0)&(R3;1:0);(R3;1:0)&(R2;1:0))" in set(map(render_minvan, dropped))
     for m in dropped:
         assert not has_minimal_realization(m, shared_cache), render_minvan(m)
 

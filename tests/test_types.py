@@ -22,7 +22,7 @@ from minvan.types import (
 )
 
 from helpers import WEIGHT21_TYPE_TEXT, weight21_height2_sorou
-from table1_fixture import M, T, NU5, R3, R5, R5_R3, R7
+from table1_fixture import M, T, NU3, NU5, R2, R3, R5, R5_R3, R7
 
 H6 = parse_sorou("5:1+5:2+5:3+5:4+6:1+6:5")
 
@@ -197,11 +197,24 @@ def test_type_invariants_hold_in_database(db16):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    # One case per rule; each breaks that rule alone.
+    with pytest.raises(ValueError, match="type head must be prime"):
         MinVanType(4, ((1, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="f0 relative order must divide"):
         MinVanType(3, ((1, 0), (5, 1)))  # 5 does not divide 2
-    with pytest.raises(ValueError):
-        MinVanType(2, ((1, 0),), (T(R3), T(R3)))  # too many subtypes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="f0 must have no vanishing nonempty subsorou"):
+        MinVanType(5, ((1, 0), (2, 1)))
+    with pytest.raises(ValueError, match="more subtypes than available slots"):
+        MinVanType(3, ((1, 0),), (T(R2),) * 3)
+    with pytest.raises(ValueError, match="subtype weight below twice the f0 weight"):
+        MinVanType(5, NU3, (T(R2),))
+    with pytest.raises(ValueError, match="subtype with more minimal components than w"):
+        MinVanType(5, ((1, 0),), (T(R3, R2),))
+    with pytest.raises(ValueError, match="subtype top prime must be below p"):
+        MinVanType(3, ((1, 0),), (T(R3),))
+    with pytest.raises(ValueError, match="subtype top prime must be below p"):
+        MinVanType(5, ((1, 0),), (T(R5),))
+    with pytest.raises(ValueError, match="subtype top prime must be below p"):
+        parse_type("(R3;1:0;(R3;1:0))")
+    with pytest.raises(ValueError, match="empty type sum"):
         TypeSum(())
