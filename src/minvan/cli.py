@@ -32,7 +32,7 @@ from minvan.sorou import (
     top_prime,
     weight,
 )
-from minvan.types import infer_type, parse_type, render_type, render_type_latex
+from minvan.types import TypeSum, _infer_minvan, parse_type, render_type, render_type_latex
 
 # Reference classification for weights 2..12, checked after bootstrap.
 BOOTSTRAP_FIXTURE: dict[int, frozenset[str]] = {
@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
     except ValueError:
         pass
     if verdict.minimal:
-        t = infer_type(s)
+        t = TypeSum((_infer_minvan(s),))  # infer_type would certify s again
         print(f"type: {render_type(t)}")
         print(f"type (pretty): {render_type_latex(t)}")
     return 0 if verdict.minimal else 1

@@ -23,14 +23,14 @@ The recursion is at most as deep as the number of prime factors of N.  Any
 prime of N would do; peeling the smallest first leaves the largest, whose
 p - 1 differences cost the most, to the integer test at the leaf.
 
-For a squarefree N the same automorphism, applied at every prime, gives
+The same automorphism at every prime power p^a exactly dividing N gives
 coordinates (Bosma 1990; the Zumbroich basis at squarefree N): zeta_N^e is
-the tensor product over the primes p of N of zeta_p^(e mod p), each written
-in the basis zeta_p^1 .. zeta_p^(p-1) of Q(zeta_p), where zeta_p^0 is minus
-their sum.  Every coordinate of a root is 0 or +-1.  The minimality
-criterion compares subsorou values at a squarefree modulus by these
-coordinates, each root's packed into one int (`_packed_tower_row`).
-Phi_n itself is built only for `minvan phi`.
+the tensor product over those p^a of zeta_(p^a)^i zeta_p^k, where e mod p^a
+= k p^(a-1) + i: block i of the basis zeta_(p^a)^i, i < p^(a-1), over
+Q(zeta_p) that the case "p divides M" peels, holding zeta_p^k in the basis
+zeta_p^1 .. zeta_p^(p-1), where zeta_p^0 is minus their sum.  Every root's
+coordinates are 0 or +-1, packed into one int (`_packed_tower_row`) to
+compare sub-sums.  Phi_n is built only for `minvan phi`.
 
 A floating-point prefilter may skip the exact test: up to
 PREFILTER_MAX_WEIGHT terms the rounding error of the floating sum stays far
@@ -42,10 +42,11 @@ heavier.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cache
 
-from minvan.arith import divisors, euler_phi, is_squarefree, prime_factors
+from minvan.arith import divisors, euler_phi, prime_factors
 from minvan.sorou import SUBSET_GUARD_WEIGHT, Sorou, order, subtract
 
 NUMERIC_PREFILTER_LIMIT = 1e-6
@@ -120,27 +121,27 @@ PACK_WIDTH = (2 * SUBSET_GUARD_WEIGHT).bit_length() + 1
 
 @cache
 def _packed_tower_row(n: int, e: int) -> int:
-    """zeta_n^e in tower coordinates (see the module docstring), n
-    squarefree, packed into one int by signed Kronecker substitution:
-    coordinate i is weighted by 2**(i * PACK_WIDTH), indexed in mixed radix
-    over the primes of n, smallest fastest.  So the row is the product over
-    the primes p of the packed factor of zeta_p^(e mod p), at a stride of
-    the product of q - 1 over the smaller primes q.
+    """zeta_n^e in tower coordinates (see the module docstring), packed into
+    one int by signed Kronecker substitution: coordinate i is weighted by
+    2**(i * PACK_WIDTH), indexed in mixed radix over the prime powers p^a
+    of n, smallest p fastest, and within p^a over (block, digit), digit
+    fastest.  So the row is the product over the p^a of the packed factor of
+    zeta_(p^a)^(e mod p^a), at a stride of the product of phi(q^b) over the
+    smaller q^b.  At a squarefree n every block index is 0.
 
     Packing is linear and, on sub-sums of at most SUBSET_GUARD_WEIGHT rows,
     injective (see PACK_WIDTH): they pack to equal ints exactly when their
     values are equal, and to 0 exactly when they vanish.
     """
-    if not is_squarefree(n):
-        raise ValueError(f"tower coordinates need a squarefree modulus, got {n}")
     row, step = 1, PACK_WIDTH
     for p in prime_factors(n):
-        j = e % p
-        if j:
-            row <<= (j - 1) * step
+        block = math.gcd(n, p ** n.bit_length()) // p  # p^(a-1), p^a exactly dividing n
+        k, i = divmod(e % (block * p), block)
+        if k:
+            row <<= (i * (p - 1) + k - 1) * step
         else:
-            row *= -sum(1 << (k * step) for k in range(p - 1))
-        step *= p - 1
+            row = (row << i * (p - 1) * step) * -sum(1 << (j * step) for j in range(p - 1))
+        step *= block * (p - 1)
     return row
 
 

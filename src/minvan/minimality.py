@@ -1,4 +1,4 @@
-"""Minimal-vanishing certification.
+"""Minimal-vanishing certification and decomposition.
 
 Two independent routes decide whether a vanishing sorou is minimal:
 
@@ -11,6 +11,10 @@ Two independent routes decide whether a vanishing sorou is minimal:
   intersection of packed values.
 * a definition-level brute force over all proper nonempty sub-multisets,
   kept deliberately naive as the oracle for the criterion path.
+
+One sub-multiset DP, `_subsum_layers`, answers every "which sub-sum
+vanishes?" question at any modulus: (ii), (iii), f0's check and
+`decompose_into_minimal`'s least-weight parts.
 
 Conditions (ii) and (iii) have one implementation, `assembly_criterion`,
 which reads them on slots: enumeration gives it the slots it assembles, and
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
 from minvan.arith import is_squarefree
@@ -37,7 +42,6 @@ from minvan.sorou import (
     order,
     relative_order,
     render_sorou,
-    sub_multisets_of_size,
     subtract,
     to_subsidiary,
     weight,
@@ -56,22 +60,32 @@ class MinimalityVerdict:
     failing_condition: str | None = None
 
 
-def _proper_subsorou_values(part: Sorou, modulus: int) -> tuple[bool, frozenset]:
-    """(some proper nonempty subsorou vanishes, set of their packed values).
+def _subsum_layers(s: Sorou, modulus: int) -> tuple[list, list[set]]:
+    """The sub-multiset DP of s: groups[i] is (root, mult, packed tower row
+    at `modulus`), and layers[i] the (count, packed value) states of the
+    sub-multisets of groups[:i]; (k, 0) is a vanishing one of k terms.  At
+    most 2**w states on w distinct terms: repeated terms share states."""
+    if weight(s) > SUBSET_GUARD_WEIGHT:
+        raise ValueError(f"subset explosion: weight {weight(s)} exceeds guard")
+    groups, layers = [], [{(0, 0)}]
+    for root, mult in Counter(s).items():
+        row = _packed_tower_row(modulus, root[1] * (modulus // root[0]))
+        groups.append((root, mult, row))
+        layers.append({(c + j, v + j * row) for c, v in layers[-1] for j in range(mult + 1)})
+    return groups, layers
 
-    A sub-multiset dynamic program over (count, packed value) states: each
-    root group (root, mult) in turn adds 0..mult copies of its packed row
-    at the squarefree modulus.
-    """
+
+def _proper_subsorou_values(part: Sorou, modulus: int) -> tuple[bool, frozenset]:
+    """(some proper nonempty subsorou vanishes, set of their packed values)."""
     n = weight(part)
-    if n > SUBSET_GUARD_WEIGHT:
-        raise ValueError(f"subset explosion: weight {n} exceeds guard")
-    states = {(0, 0)}
-    for (o, p), mult in Counter(part).items():
-        row = _packed_tower_row(modulus, p * (modulus // o) % modulus)
-        states = {(c + j, v + j * row) for c, v in states for j in range(mult + 1)}
-    values = frozenset(v for c, v in states if 0 < c < n)
+    values = frozenset(v for c, v in _subsum_layers(part, modulus)[1][-1] if 0 < c < n)
     return 0 in values, values
+
+
+@cache  # loading and generating build thousands of types on a few dozen f0s
+def _has_vanishing_subsorou(s: Sorou) -> bool:
+    """Whether some nonempty sub-multiset of s, s itself included, vanishes."""
+    return any(c and not v for c, v in _subsum_layers(s, order(s))[1][-1])
 
 
 def is_minimal_vanishing(s: Sorou) -> MinimalityVerdict:
@@ -164,32 +178,28 @@ def is_minimal_vanishing_bruteforce(s: Sorou) -> bool:
     return not has_vanishing_proper(0, 0, 0j)
 
 
-def _smallest_vanishing(s: Sorou) -> list[Sorou]:
-    """The vanishing sub-multisets of s of least weight >= 2, or []."""
-    for k in range(2, weight(s) + 1):
-        found = [sub for sub in sub_multisets_of_size(s, k) if is_vanishing(sub)]
-        if found:
-            return found
-    return []
-
-
 def decompose_into_minimal(s: Sorou) -> list[Sorou]:
     """Split a vanishing sorou into minimal vanishing parts.
 
     Deterministic rule: repeatedly extract the vanishing sub-multiset of
-    smallest weight (tied by rendered text), which is minimal by construction.
+    least weight k (tied by rendered text), which is minimal by construction;
+    the DP layers, walked back from the state (k, 0), list every such one.
     """
     if not is_vanishing(s):
         raise ValueError("cannot decompose a non-vanishing sorou")
-    if weight(s) > SUBSET_GUARD_WEIGHT:
-        raise ValueError(f"subset explosion: weight {weight(s)} exceeds guard")
     parts = []
     rest = s
     while rest:
-        found = _smallest_vanishing(rest)
-        if not found:
-            raise AssertionError("vanishing remainder without vanishing subsorou")
-        part = min(found, key=render_sorou)
+        groups, layers = _subsum_layers(rest, order(rest))
+        found = {((min(c for c, v in layers[-1] if c and not v), 0), ())}
+        for (root, mult, row), layer in zip(groups[::-1], layers[-2::-1]):
+            found = {
+                ((c - j, v - j * row), (root,) * j + sub)
+                for (c, v), sub in found
+                for j in range(mult + 1)
+                if (c - j, v - j * row) in layer
+            }
+        part = min((sub for _, sub in found), key=render_sorou)
         parts.append(part)
         rest = subtract(rest, part)
     return parts

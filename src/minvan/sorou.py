@@ -29,15 +29,13 @@ Sorou = tuple[Root, ...]
 ONE: Root = (1, 0)
 MINUS_ONE: Root = (2, 1)
 
-# Subset streams are guarded: Prop-2.3 style checks only ever enumerate
-# subsets of subsidiary parts, whose weights stay well below this in scope.
-# The minimality criterion walks no `combinations`: its sub-multiset DP sums
-# at most this many packed tower rows, whose coordinates are 0 or +-1, so
-# the guard alone fixes the packing width (`cyclotomic.PACK_WIDTH`).  For
-# the users of `sub_multisets_of_size` (`proper_nonempty_subsorous` and
-# minimality's `_smallest_vanishing`) the guard bounds a stream at 2**24
-# combinations: `combinations` walks every index subset, so repeated terms
-# cost as much as distinct ones.
+# Sub-multiset questions are guarded.  The library's one sub-multiset DP
+# (`minimality._subsum_layers`) sums at most this many packed tower rows,
+# whose coordinates are 0 or +-1, so the guard alone fixes the packing width
+# (`cyclotomic.PACK_WIDTH`).  The streams below serve only the benchmark's
+# tracer and the tests' subset oracles; for them the guard bounds a stream
+# at 2**24 combinations: `combinations` walks every index subset, so
+# repeated terms cost as much as distinct ones.
 SUBSET_GUARD_WEIGHT = 24
 
 
@@ -186,7 +184,8 @@ def is_subsorou(g: Sorou, h: Sorou) -> bool:
 
 
 def sub_multisets_of_size(s: Sorou, k: int) -> Iterator[Sorou]:
-    """Distinct sub-multisets of s with exactly k terms, each yielded once.
+    """Distinct sub-multisets of s with exactly k terms, each yielded once:
+    the tests' reference walk (the library walks no subsets).
 
     s is sorted, so every combination is already a sorted sorou.  Only
     repeated terms produce duplicates; the dict that drops them holds a whole
@@ -198,7 +197,7 @@ def sub_multisets_of_size(s: Sorou, k: int) -> Iterator[Sorou]:
 
 
 def proper_nonempty_subsorous(s: Sorou) -> Iterator[Sorou]:
-    """Each proper nonempty sub-multiset of s exactly once."""
+    """Each proper nonempty sub-multiset of s exactly once (a test oracle)."""
     if weight(s) > SUBSET_GUARD_WEIGHT:
         raise ValueError(f"subset explosion: weight {weight(s)} exceeds guard")
     for k in range(1, weight(s)):

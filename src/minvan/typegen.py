@@ -25,7 +25,7 @@ from typing import Iterator
 
 from minvan.arith import primes_below, primes_upto, units
 from minvan.enumeration import SorouCache, has_minimal_realization
-from minvan.minimality import _smallest_vanishing
+from minvan.minimality import _has_vanishing_subsorou
 from minvan.sorou import (
     ONE,
     Sorou,
@@ -86,7 +86,7 @@ def candidate_f0s(w: int, p: int, collapse: bool) -> list[Sorou]:
     out = set()
     for exps in combinations(range(1, q), w - 1):
         f0 = sorou([(1, 0)] + [(q, e) for e in exps])
-        if not _smallest_vanishing(f0):
+        if not _has_vanishing_subsorou(f0):
             out.add(canonicalize(f0))
     if collapse:
         out = {_f0_family_representative(f0) for f0 in out}

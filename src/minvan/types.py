@@ -26,7 +26,7 @@ from functools import cache
 from itertools import chain, product
 
 from minvan.arith import is_prime, primes_below, units
-from minvan.minimality import _smallest_vanishing, decompose_into_minimal, is_minimal_vanishing
+from minvan.minimality import _has_vanishing_subsorou, decompose_into_minimal, is_minimal_vanishing
 from minvan.sorou import (
     ONE,
     Root,
@@ -63,7 +63,7 @@ class MinVanType:
         q = math.prod(primes_below(self.p))
         if q % relative_order(f0):
             raise ValueError("f0 relative order must divide the product of primes below p")
-        if _smallest_vanishing(f0):
+        if _has_vanishing_subsorou(f0):
             raise ValueError("f0 must have no vanishing nonempty subsorou")
         if len(self.subtypes) > self.p - 1:
             raise ValueError("more subtypes than available slots")

@@ -1,5 +1,5 @@
-"""Shared builders for the worked examples used across the test suite, and
-the Phi_N residue oracle.
+"""Shared builders for the worked examples used across the test suite, the
+Phi_N residue oracle, and the subset oracle for decomposition.
 
 The library compares values in tower coordinates; the oracle reduces each
 term nu_o^p, lifted to the monomial x^(p*N/o), modulo Phi_N.  The remainder
@@ -7,6 +7,10 @@ is an integer vector of length phi(N), zero exactly when the complex value
 is zero (Gauss's lemma: Phi_N divides an integer polynomial over Q iff it
 does over Z).  `minimality_by_residues` is the subsidiary criterion decided
 on those residues, with every proper subsorou listed one by one.
+
+The library answers "which sub-sum vanishes?" with one sub-multiset DP on
+packed tower rows; `smallest_vanishing_by_subsets` answers it by walking
+`sub_multisets_of_size` level by level and testing each subset exactly.
 """
 
 from dataclasses import dataclass
@@ -27,8 +31,11 @@ from minvan.sorou import (
     order,
     proper_nonempty_subsorous,
     relative_order,
+    render_sorou,
     root_mul,
     sorou,
+    sub_multisets_of_size,
+    subtract,
     to_subsidiary,
 )
 
@@ -106,6 +113,27 @@ def minimality_by_residues(s: Sorou) -> MinimalityVerdict:
     if all(subvalues) and reduce(frozenset.intersection, subvalues):
         return MinimalityVerdict(True, False, FAIL_COMMON_SUBVALUE)
     return MinimalityVerdict(True, True, None)
+
+
+def smallest_vanishing_by_subsets(s: Sorou) -> list[Sorou]:
+    """The vanishing sub-multisets of s of least weight, or [] when no
+    nonempty sub-multiset vanishes."""
+    for k in range(2, len(s) + 1):
+        found = [sub for sub in sub_multisets_of_size(s, k) if is_vanishing(sub)]
+        if found:
+            return found
+    return []
+
+
+def decompose_by_subsets(s: Sorou) -> list[Sorou]:
+    """`decompose_into_minimal`'s rule on `smallest_vanishing_by_subsets`:
+    extract the least-weight vanishing sub-multiset, least by rendered text."""
+    parts = []
+    while s:
+        part = min(smallest_vanishing_by_subsets(s), key=render_sorou)
+        parts.append(part)
+        s = subtract(s, part)
+    return parts
 
 
 def prod(*roots) -> tuple[int, int]:

@@ -1,9 +1,11 @@
 import os
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from minvan.cli import BOOTSTRAP_FIXTURE, main
+from minvan.minimality import is_minimal_vanishing
 from minvan.store import load_db
 
 from helpers import WEIGHT21_TYPE_TEXT
@@ -58,6 +60,21 @@ def test_verify_minimal(capsys):
     assert "vanishing: True" in out
     assert "minimal: True" in out
     assert "type: (R2;1:0)" in out
+
+
+def test_verify_certifies_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return is_minimal_vanishing(s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minvan") and hasattr(module, "is_minimal_vanishing"):
+            monkeypatch.setattr(module, "is_minimal_vanishing", counting)
+    assert main(["verify", "5:1+5:2+5:3+5:4+6:1+6:5"]) == 0
+    assert "type: (R5;1:0;(R3;1:0))" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_verify_weight21(capsys):

@@ -1,12 +1,16 @@
+import importlib
 import math
+import pkgutil
 import random
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minvan.arith import euler_phi, is_squarefree, prime_factors
+import minvan
+from minvan.arith import euler_phi, is_squarefree, prime_factors, primes_below
 from minvan.cyclotomic import (
     PACK_WIDTH,
     _packed_tower_row,
@@ -21,6 +25,7 @@ from minvan.minimality import (
     FAIL_INNER_VANISHING,
     FAIL_NOT_VANISHING,
     MinimalityVerdict,
+    _has_vanishing_subsorou,
     _proper_subsorou_values,
     decompose_into_minimal,
     is_minimal_vanishing,
@@ -28,6 +33,8 @@ from minvan.minimality import (
 )
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
+    canonicalize,
+    height,
     make_root,
     parse_sorou,
     relative_order,
@@ -37,9 +44,16 @@ from minvan.sorou import (
     to_subsidiary,
     top_prime,
 )
+from minvan.typegen import candidate_f0s
 from minvan.types import representative_sorou
 
-from helpers import minimality_by_residues, subsorou_residues, weight21_height2_sorou
+from helpers import (
+    decompose_by_subsets,
+    minimality_by_residues,
+    smallest_vanishing_by_subsets,
+    subsorou_residues,
+    weight21_height2_sorou,
+)
 
 R2 = parse_sorou("1:0+2:1")
 R3 = parse_sorou("1:0+3:1+3:2")
@@ -160,6 +174,61 @@ def test_decompose_r3_plus_negated_r3_prefers_weight2():
     assert sorted(len(p) for p in parts) == [2, 2, 2]
 
 
+@st.composite
+def vanishing_with_repeats(draw):
+    """A vanishing sum at order 4, 12, 90 or 1470 of rotated R_p (p | n)
+    and, at 90 and 1470, rotated H6, the first piece taken twice: so terms
+    repeat, and orders are divisible by 4, 9 or 49.  At most 12 terms."""
+    n = draw(st.sampled_from([4, 12, 90, 1470]))
+    pieces = [sorou((n, k * n // p) for k in range(p)) for p in prime_factors(n)]
+    pieces += [H6] if n % 30 == 0 else []
+    rotations = st.integers(0, n - 1).map(lambda e: make_root(n, e))
+    twice = rotate(draw(st.sampled_from([x for x in pieces if len(x) <= 6])), draw(rotations))
+    terms = list(twice) * 2
+    for _ in range(draw(st.integers(0, 2))):
+        piece = rotate(draw(st.sampled_from(pieces)), draw(rotations))
+        if len(terms) + len(piece) <= 12:
+            terms += piece
+    return sorou(terms)
+
+
+@given(vanishing_with_repeats())
+@settings(max_examples=60, deadline=None)
+def test_decompose_matches_the_subset_oracle(s):
+    assert height(s) >= 2
+    assert decompose_into_minimal(s) == decompose_by_subsets(s)
+    for sub in (s, s[1:]):
+        assert _has_vanishing_subsorou(sub) == bool(smallest_vanishing_by_subsets(sub))
+
+
+# Every f0 weight candidate_f0s takes when generating through weight 21
+# (w <= 21 / p), one more at p = 7 and 11, and every weight at p = 5.
+@pytest.mark.parametrize(
+    "p, w", [(3, 2), *((5, w) for w in range(2, 7)), (7, 2), (7, 3), (7, 4), (11, 2)]
+)
+def test_candidate_f0s_match_the_subset_oracle(p, w):
+    q = math.prod(primes_below(p))
+    free = set()
+    for exps in combinations(range(1, q), w - 1):
+        f0 = sorou([(1, 0)] + [(q, e) for e in exps])
+        has = bool(smallest_vanishing_by_subsets(f0))
+        assert _has_vanishing_subsorou(f0) == has
+        if not has:
+            free.add(canonicalize(f0))
+    assert candidate_f0s(w, p, collapse=False) == sorted(free)
+
+
+def test_only_sorou_binds_the_subset_walkers():
+    # One sub-multiset DP answers every sub-sum question: no minvan module
+    # but sorou, which keeps the walkers for the benchmark's tracer and the
+    # test oracles, binds one.  The package re-exports proper_nonempty_subsorous.
+    walkers = ("sub_multisets_of_size", "proper_nonempty_subsorous", "_smallest_vanishing")
+    for info in pkgutil.iter_modules(minvan.__path__):
+        module = importlib.import_module(f"minvan.{info.name}")
+        if info.name != "sorou":
+            assert [fn for fn in walkers if hasattr(module, fn)] == [], info.name
+
+
 def test_high_multiplicity_goes_through_the_criterion():
     s = parse_sorou("+".join(["1:0"] * 12 + ["2:1"] * 12))
     assert is_minimal_vanishing(s) == MinimalityVerdict(True, False, FAIL_COMMON_SUBVALUE)
@@ -191,18 +260,23 @@ def _unpack(v: int, width: int, length: int) -> tuple[int, ...]:
 
 
 def _tower_coordinates(n: int, e: int) -> tuple[int, ...]:
-    """zeta_n^e by definition: the tensor product over the primes p of n,
-    smallest varying fastest, of zeta_p^(e mod p) in the basis zeta_p^1 ..
-    zeta_p^(p-1), where zeta_p^0 = -(zeta_p^1 + ... + zeta_p^(p-1))."""
+    """zeta_n^e by definition: the tensor product over the prime powers
+    p^a exactly dividing n, smallest p varying fastest, of
+    zeta_(p^a)^(e mod p^a) = zeta_(p^a)^i zeta_p^k, e mod p^a = k p^(a-1) + i:
+    p^(a-1) blocks, all zero but block i, which holds zeta_p^k in the basis
+    zeta_p^1 .. zeta_p^(p-1), where zeta_p^0 = -(zeta_p^1 + ... + zeta_p^(p-1))."""
     vector = [1]
     for p in prime_factors(n):
-        j = e % p
-        factor = [int(k == j) for k in range(1, p)] if j else [-1] * (p - 1)
+        a = max(x for x in range(1, n.bit_length()) if n % p**x == 0)
+        blocks = p ** (a - 1)
+        k, i = divmod(e % (blocks * p), blocks)
+        digits = [int(j == k) for j in range(1, p)] if k else [-1] * (p - 1)
+        factor = [d * (b == i) for b in range(blocks) for d in digits]
         vector = [f * v for f in factor for v in vector]
     return tuple(vector)
 
 
-@pytest.mark.parametrize("n", [210, 2310])
+@pytest.mark.parametrize("n", [4, 12, 90, 2 * 3 * 5 * 7 * 7, 210, 2310])
 def test_tower_packing_covers_the_subsum_bound(n):
     assert 1 << (PACK_WIDTH - 1) > 2 * SUBSET_GUARD_WEIGHT
     rows = [_tower_coordinates(n, e) for e in range(n)]
@@ -228,14 +302,6 @@ def test_tower_packing_covers_the_subsum_bound(n):
         for c in (b, b[:-1] + [(b[-1] + 1) % n]):
             same = values_equal(sorou((n, e) for e in a), sorou((n, e) for e in c))
             assert same == (packed(a) == packed(c))
-
-
-@pytest.mark.parametrize("n", [4, 12, 90, 2 * 3 * 5 * 7 * 7])
-def test_tower_packing_needs_a_squarefree_modulus(n):
-    with pytest.raises(ValueError, match="squarefree"):
-        _packed_tower_row(n, 1)
-    with pytest.raises(ValueError, match="squarefree"):
-        _proper_subsorou_values(sorou([(1, 0), (n, 1)]), n)
 
 
 def test_top_prime_30030_builds_no_phi():

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from minvan.minimality import is_minimal_vanishing
+import minvan.types
+from minvan.enumeration import sorou_of_minvan_type
+from minvan.minimality import decompose_into_minimal, is_minimal_vanishing
 from minvan.sorou import equivalent, parse_sorou, render_sorou, weight
 from minvan.types import (
     MinVanType,
@@ -21,7 +23,7 @@ from minvan.types import (
     weight_partition,
 )
 
-from helpers import WEIGHT21_TYPE_TEXT, weight21_height2_sorou
+from helpers import WEIGHT21_TYPE_TEXT, decompose_by_subsets, weight21_height2_sorou
 from table1_fixture import M, T, NU3, NU5, R2, R3, R5, R5_R3, R7
 
 H6 = parse_sorou("5:1+5:2+5:3+5:4+6:1+6:5")
@@ -159,6 +161,42 @@ def test_infer_round_trip_weight_and_partition(db16):
         assert weight_partition(inferred.components[0]) == weight_partition(
             record.type.components[0]
         )
+
+
+@pytest.fixture(scope="module")
+def inferred_db16(db16, shared_cache):
+    """(the rendered infer_type of every db16 class, in record and class
+    order; every sorou decompose_into_minimal was given on the way)."""
+    inputs = set()
+
+    def recording(s):
+        inputs.add(s)
+        return decompose_into_minimal(s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minvan.types, "decompose_into_minimal", recording)
+        texts = [
+            render_type(infer_type(s))
+            for record in db16.records
+            for s in sorou_of_minvan_type(record.type.components[0], shared_cache)
+        ]
+    return texts, inputs
+
+
+def test_inferred_types_of_every_class_are_pinned(inferred_db16):
+    # The sha256 of the 4,832 rendered types, computed when decomposition
+    # still walked subsets one by one.
+    texts, _ = inferred_db16
+    assert len(texts) == 4832
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "989657551fd17b13deecdc16408d0c83d031c3e21d3be75e5dc6c05074de21f1"
+
+
+def test_decompose_matches_the_subset_oracle_on_inference_inputs(inferred_db16):
+    _, inputs = inferred_db16
+    assert len(inputs) >= 50 and max(map(weight, inputs)) >= 9
+    for s in inputs:
+        assert decompose_into_minimal(s) == decompose_by_subsets(s)
 
 
 def test_conjugate_type():
