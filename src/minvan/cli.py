@@ -7,7 +7,10 @@ a type), report (CSV/LaTeX), phi (cyclotomic coefficients), plot (SVG unit
 circle).  Results go to stdout; timing and progress go to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 usage error.
 
-The default database path comes from the MINVAN_DB environment variable.
+Without --db, a command reads its database path from the MINVAN_DB
+environment variable when it runs (default minvan.db).  `main` can be called
+repeatedly in one process: the argument parser is built once, on the first
+call.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import os
 import sys
 import time
+from functools import cache
 
 from minvan import enumeration, store, typegen
 from minvan.cyclotomic import cyclotomic_poly
@@ -238,6 +242,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@cache  # one tree per process; it holds nothing a caller may change (see main)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minvan",
@@ -246,44 +251,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bootstrap", help="create the weight 2..12 database from scratch")
-    p.add_argument("--db", default=_default_db_path())
-    p.set_defaults(func=cmd_bootstrap)
+    p.add_argument("--db")
 
     p = sub.add_parser("extend", help="extend the classification to a higher weight")
-    p.add_argument("--db", default=_default_db_path())
+    p.add_argument("--db")
     p.add_argument("--to", type=int, required=True)
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("verify", help="certify one sorou and infer its type")
     p.add_argument("sorou")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="all rotation classes of a minimal type")
     p.add_argument("type")
-    p.add_argument("--db", default=_default_db_path())
-    p.set_defaults(func=cmd_enumerate)
+    p.add_argument("--db")
 
     p = sub.add_parser("report", help="write the classification table")
-    p.add_argument("--db", default=_default_db_path())
+    p.add_argument("--db")
     p.add_argument("--format", choices=("csv", "latex"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("phi", help="coefficients of a cyclotomic polynomial")
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("plot", help="SVG unit-circle diagram of a sorou")
     p.add_argument("sorou")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plot)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; safe to call repeatedly in one process.  What a
+    caller may change between calls is read per call: $MINVAN_DB when --db
+    is absent, and the command's `cmd_*` function, looked up by name."""
     args = build_parser().parse_args(argv)
+    if "db" in vars(args) and args.db is None:
+        args.db = _default_db_path()
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,18 +60,29 @@ class MinimalityVerdict:
     failing_condition: str | None = None
 
 
-def _subsum_layers(s: Sorou, modulus: int) -> tuple[list, list[set]]:
+def _subsum_layers(s: Sorou, modulus: int, least: bool = False) -> tuple[list, list[set]]:
     """The sub-multiset DP of s: groups[i] is (root, mult, packed tower row
     at `modulus`), and layers[i] the (count, packed value) states of the
     sub-multisets of groups[:i]; (k, 0) is a vanishing one of k terms.  At
-    most 2**w states on w distinct terms: repeated terms share states."""
-    if weight(s) > SUBSET_GUARD_WEIGHT:
-        raise ValueError(f"subset explosion: weight {weight(s)} exceeds guard")
+    most 2**w states on w distinct terms: repeated terms share states.
+
+    With `least`, once a layer holds a vanishing (k, 0), 0 < k < w, the
+    layers keep only states of count below the least such k, and (k, 0)
+    itself: counts only grow along a path, so no path to a least-weight
+    vanishing sub-multiset passes through the states dropped."""
+    n = cap = weight(s)
+    if n > SUBSET_GUARD_WEIGHT:
+        raise ValueError(f"subset explosion: weight {n} exceeds guard")
     groups, layers = [], [{(0, 0)}]
     for root, mult in Counter(s).items():
         row = _packed_tower_row(modulus, root[1] * (modulus // root[0]))
         groups.append((root, mult, row))
-        layers.append({(c + j, v + j * row) for c, v in layers[-1] for j in range(mult + 1)})
+        layer = {(c + j, v + j * row) for c, v in layers[-1] for j in range(mult + 1)}
+        if least:
+            cap = next((k for k in range(1, cap) if (k, 0) in layer), cap)
+            if cap < n:
+                layer = {(c, v) for c, v in layer if c < cap or c == cap and not v}
+        layers.append(layer)
     return groups, layers
 
 
@@ -190,7 +201,7 @@ def decompose_into_minimal(s: Sorou) -> list[Sorou]:
     parts = []
     rest = s
     while rest:
-        groups, layers = _subsum_layers(rest, order(rest))
+        groups, layers = _subsum_layers(rest, order(rest), least=True)
         found = {((min(c for c, v in layers[-1] if c and not v), 0), ())}
         for (root, mult, row), layer in zip(groups[::-1], layers[-2::-1]):
             found = {

@@ -1,7 +1,8 @@
 """Micro-benchmarks of the hot kernels on fixed weight-16 inputs, of the
 statistics of the weight-16 types, of the exact vanishing test on
 order-4620 sums, of the least-rotation routine's worst cases at order
-34650, and of writing and reading the weight <= 16 class cache.
+34650, of writing and reading the weight <= 16 class cache, and of one
+in-process `minvan verify` call.
 
 Run with pytest-benchmark (skipped when it is absent); a few rounds each, so
 the suite's time barely moves.  `pytest tests/test_benchmarks.py
@@ -12,6 +13,7 @@ import math
 
 import pytest
 
+from minvan.cli import main
 from minvan.cyclotomic import is_vanishing
 from minvan.enumeration import sorou_of_minvan_type, type_statistics
 from minvan.minimality import is_minimal_vanishing
@@ -22,6 +24,7 @@ from minvan.sorou import (
     make_root,
     order,
     parse_sorou,
+    render_sorou,
     root_inv,
     rotate,
     sorou,
@@ -113,6 +116,13 @@ def test_bench_least_rotation_order_34650(benchmark, order_34650_exponents):
 def test_bench_is_minimal_vanishing(benchmark, weight16_classes):
     verdicts = run(benchmark, is_minimal_vanishing, weight16_classes)
     assert all(v.minimal for v in verdicts)
+
+
+def test_bench_cli_verify(benchmark, weight16_classes, capsys):
+    """One call, parsing included, so the table shows the per-call cost."""
+    argv = ["verify", render_sorou(weight16_classes[0])]
+    assert benchmark.pedantic(main, args=(argv,), rounds=50, iterations=1) == 0
+    assert "minimal: True" in capsys.readouterr().out
 
 
 def test_bench_is_vanishing(benchmark, weight16_classes):

@@ -98,14 +98,16 @@ def test_verify_parse_error_exit_code(capsys):
     assert main(["verify", "nonsense"]) == 2
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["extend"])  # --to is required
-    assert err.value.code == 2
+def test_usage_error_exit_code(capsys):
+    for _ in range(2):  # the parser is reused after an error
+        with pytest.raises(SystemExit) as err:
+            main(["extend"])  # --to is required
+        assert err.value.code == 2
     for removed in (["--threads", "2"], ["--no-conjugate-collapse"], ["--no-minvan-filter"]):
         with pytest.raises(SystemExit) as err:
             main(["extend", "--to", "13", *removed])  # no such option
         assert err.value.code == 2
+    assert main(["verify", "1:0+2:1"]) == 0
 
 
 def test_extend_reads_collapse_from_the_database(tmp_path, capsys):
@@ -219,6 +221,72 @@ def test_env_var_default_db(db_path, monkeypatch, capsys):
     monkeypatch.setenv("MINVAN_DB", db_path)
     assert main(["report", "--format", "csv"]) == 0
     assert "R_2" in capsys.readouterr().out
+
+
+def test_env_var_is_read_when_each_command_runs(tmp_path, monkeypatch, capsys):
+    first, second = str(tmp_path / "first.db"), str(tmp_path / "second.db")
+    for path in (first, second):
+        monkeypatch.setenv("MINVAN_DB", path)
+        assert main(["bootstrap"]) == 0
+    assert main(["extend", "--to", "13"]) == 0
+    assert [load_db(p).max_complete_weight for p in (first, second)] == [12, 13]
+    capsys.readouterr()
+
+    monkeypatch.setenv("MINVAN_DB", first)
+    assert main(["extend", "--db", second, "--to", "13"]) == 0
+    assert capsys.readouterr().out == "database already complete through 13\n"
+    reports = {}
+    for env in (first, second):
+        monkeypatch.setenv("MINVAN_DB", env)
+        for db in (None, first, second):
+            assert main(["report", *(["--db", db] if db else [])]) == 0
+            reports[env, db] = capsys.readouterr().out
+    assert "\n13,\t" not in reports[first, None] and "\n13,\t" in reports[second, None]
+    for env in (first, second):
+        assert reports[env, None] == reports[env, env]
+        assert reports[first, env] == reports[second, env]
+
+    new_type = "(R7;1:0;(R5;1:0;(R3;1:0));(R5;1:0;(R3;1:0)))"
+    assert main(["enumerate", new_type]) == 0  # MINVAN_DB is second
+    assert new_type in open(second + ".cache").read()
+    assert new_type not in open(first + ".cache").read()
+    assert main(["enumerate", new_type, "--db", first]) == 0
+    assert new_type in open(first + ".cache").read()
+    capsys.readouterr()
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    import minvan.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for _ in range(50):
+        assert main(["verify", "1:0+2:1"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    assert built[0] == "minvan" and len(built) == 8  # the top level and 7 subcommands
+    capsys.readouterr()
+
+
+def test_a_command_patched_after_the_first_call_is_dispatched(monkeypatch, capsys):
+    import minvan.cli as cli
+
+    assert main(["verify", "1:0+2:1"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.sorou) or 7)
+    assert main(["verify", "1:0+3:1"]) == 7
+    assert seen == ["1:0+3:1"]
+    monkeypatch.undo()
+    assert main(["verify", "1:0+3:1"]) == 1
+    capsys.readouterr()
 
 
 def test_verify_agrees_with_stored_statistics(db16, capsys):
