@@ -4,8 +4,8 @@ A sorou of order N vanishes iff its lifted polynomial is divisible by the
 N-th cyclotomic polynomial.  is_vanishing reaches the same verdict without
 Phi_N: it descends the cyclotomic tower of N one prime at a time down to
 integer comparisons, with no tolerance in it, which stays cheap at orders
-in the tens of thousands.  Floating point only serves as a fast prefilter for values that
-are provably far from zero.
+in the tens of thousands.  Floating point never decides: the numeric value
+below is printed for comparison only.
 """
 
 from minvan import (
@@ -22,7 +22,7 @@ print("Phi_12 coefficients (lowest degree first):", cyclotomic_poly(12).coeffici
 r5 = parse_sorou("1:0+5:1+5:2+5:3+5:4")
 print("\nR_5 vanishes:", is_vanishing(r5))
 
-near = parse_sorou("1:0+5:1+5:2+5:3")  # drop one term: numerically small, not zero
+near = parse_sorou("1:0+5:1+5:2+5:3")  # drop one term: the value is -nu_5^4
 print("numeric |1+nu_5+nu_5^2+nu_5^3| =", abs(numeric_value(near)))
 print("vanishes:", is_vanishing(near))
 

@@ -32,11 +32,8 @@ zeta_p^1 .. zeta_p^(p-1), where zeta_p^0 is minus their sum.  Every root's
 coordinates are 0 or +-1, packed into one int (`_packed_tower_row`) to
 compare sub-sums.  Phi_n is built only for `minvan phi`.
 
-A floating-point prefilter may skip the exact test: up to
-PREFILTER_MAX_WEIGHT terms the rounding error of the floating sum stays far
-below 1e-6, so |numeric| >= 1e-6 proves the value nonzero.  The exact test
-remains the authority whenever the numeric value is small or the sorou is
-heavier.
+Floating point never decides: `numeric_value` is there to print values and
+to let the brute-force oracle skip sub-sums far from zero.
 """
 
 from __future__ import annotations
@@ -48,15 +45,6 @@ from functools import cache
 
 from minvan.arith import divisors, euler_phi, prime_factors
 from minvan.sorou import SUBSET_GUARD_WEIGHT, Sorou, order, subtract
-
-NUMERIC_PREFILTER_LIMIT = 1e-6
-# Error of numeric_value for weight w, with u = 2**-53: each term's angle
-# 2*pi*p/o is rounded three times and exp adds a few ulps, under 32u per
-# term; recursive summation adds at most |partial sum| <= k ulps (times
-# sqrt(2) for the two components) at step k, under w**2 * u in all.  At
-# w = 1000 that is (32e3 + 1e6) * 1.1e-16 < 1.2e-10, four orders of
-# magnitude below NUMERIC_PREFILTER_LIMIT.
-PREFILTER_MAX_WEIGHT = 1000
 
 
 @dataclass(frozen=True)
@@ -151,7 +139,8 @@ def _unit_value(o: int, p: int) -> complex:
 
 
 def numeric_value(s: Sorou) -> complex:
-    """Floating sum of the terms; a prefilter only, never the authority."""
+    """Floating sum of the terms, for display and for the brute-force
+    oracle; no exact verdict reads it."""
     return sum(map(_unit_value, *zip(*s))) if s else 0j
 
 
@@ -195,20 +184,16 @@ def _tower_vanishes(terms: dict[int, int], n: int) -> bool:
 def is_vanishing(s: Sorou) -> bool:
     """Exact vanishing test, descending the cyclotomic tower of order(s).
 
-    Up to PREFILTER_MAX_WEIGHT terms, a floating value of modulus >= 1e-6
-    proves s nonzero.  Otherwise, with N = order(s) and p its smallest prime:
-    when p divides M = N/p, zeta_N^0..zeta_N^(p-1) are a basis over
-    Q(zeta_M), so each class of exponents mod p must vanish at order M;
-    otherwise, up to the automorphism zeta_N -> zeta_p * zeta_M, s is
-    sum_j zeta_p^j g_j with g_j in Q(zeta_M), where 1 + zeta_p + ... +
-    zeta_p^(p-1) = 0 is the only relation, so every g_j - g_0 must vanish at
-    order M.  Order 1 is an integer test.  No cyclotomic polynomial is
-    built.
+    With N = order(s) and p its smallest prime: when p divides M = N/p,
+    zeta_N^0..zeta_N^(p-1) are a basis over Q(zeta_M), so each class of
+    exponents mod p must vanish at order M; otherwise, up to the
+    automorphism zeta_N -> zeta_p * zeta_M, s is sum_j zeta_p^j g_j with
+    g_j in Q(zeta_M), where 1 + zeta_p + ... + zeta_p^(p-1) = 0 is the only
+    relation, so every g_j - g_0 must vanish at order M.  Order 1 is an
+    integer test.  No cyclotomic polynomial and no floating value is used.
     """
     if not s:
         raise ValueError("empty sorou")
-    if len(s) <= PREFILTER_MAX_WEIGHT and abs(numeric_value(s)) >= NUMERIC_PREFILTER_LIMIT:
-        return False
     n = order(s)
     terms: dict[int, int] = {}
     for o, p in s:

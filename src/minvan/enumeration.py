@@ -105,12 +105,12 @@ def _slot_pools(m: MinVanType, cache: SorouCache) -> tuple[list[int], list[tuple
 
 
 def _assemblies(m: MinVanType, cache: SorouCache, anchor: bool = True):
-    """Lazily yield (slots, minimal) for every slot assembly of type m of
-    the right weight; the sorou is sum_j nu_p^j slots[j], never built here.
-    Minimality is decided on the slots (see minimality.assembly_criterion).
-    Placements permute the small integer labels of `_slot_pools`."""
+    """Lazily yield (slots, minimal) for every slot assembly of type m; the
+    sorou is sum_j nu_p^j slots[j], never built here, and weighs w(m), as a
+    slot f0 - v of subtype t weighs w(t) - w(f0).  Minimality is decided on
+    the slots (see minimality.assembly_criterion).  Placements permute the
+    small integer labels of `_slot_pools`."""
     p = m.p
-    target = type_weight(TypeSum((m,)))
     labels, pools = _slot_pools(m, cache)
     failing = assembly_criterion(m.f0, chain.from_iterable(pools[:-1]))
     empty = [len(pools) - 1] * (p - len(labels))
@@ -120,8 +120,7 @@ def _assemblies(m: MinVanType, cache: SorouCache, anchor: bool = True):
         placements = distinct_permutations(labels + empty)
     for placement in placements:
         for slots in product(*[pools[i] for i in placement]):
-            if sum(map(len, slots)) == target:
-                yield slots, failing(slots) is None
+            yield slots, failing(slots) is None
 
 
 def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):

@@ -94,25 +94,27 @@ def _parse_parities(text: str) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
+def _render_row(r: TypeRecord) -> str:
+    """The database line of one record, as `save_db` writes it."""
+    return "\t".join(
+        [
+            str(r.weight),
+            render_type(r.type),
+            ";".join(str(x) for x in sorted(r.relative_orders)),
+            _render_partition(r.partition),
+            _render_parities(r.parities),
+            ";".join(str(x) for x in sorted(r.heights)),
+            str(r.equisigned),
+        ]
+    )
+
+
 def save_db(db: TypeDatabase, path: str) -> None:
     lines = [
         f"{DB_FORMAT} maxweight={db.max_complete_weight} "
         f"collapse={'on' if db.collapse else 'off'}"
     ]
-    for r in sorted(db.records, key=lambda r: (r.weight, sum_key(r.type))):
-        lines.append(
-            "\t".join(
-                [
-                    str(r.weight),
-                    render_type(r.type),
-                    ";".join(str(x) for x in sorted(r.relative_orders)),
-                    _render_partition(r.partition),
-                    _render_parities(r.parities),
-                    ";".join(str(x) for x in sorted(r.heights)),
-                    str(r.equisigned),
-                ]
-            )
-        )
+    lines += map(_render_row, sorted(db.records, key=lambda r: (r.weight, sum_key(r.type))))
     _atomic_write(path, ("\n".join(lines) + "\n",))
 
 
@@ -158,18 +160,20 @@ def load_db(path: str) -> TypeDatabase:
             raise ValueError(f"{path}:{lineno}: record beyond max complete weight")
         if equisigned != any(a == b for a, b in parities):
             raise ValueError(f"{path}:{lineno}: equisigned flag contradicts parities")
-        db.records.append(
-            TypeRecord(
-                type=t,
-                weight=weight,
-                top_prime=t.components[0].p,
-                partition=partition,
-                relative_orders=rel_orders,
-                parities=parities,
-                heights=heights,
-                equisigned=equisigned,
-            )
+        record = TypeRecord(
+            type=t,
+            weight=weight,
+            top_prime=t.components[0].p,
+            partition=partition,
+            relative_orders=rel_orders,
+            parities=parities,
+            heights=heights,
+            equisigned=equisigned,
         )
+        row = _render_row(record)
+        if line != row:
+            raise ValueError(f"{path}:{lineno}: row is not as save_db writes it: expected {row!r}")
+        db.records.append(record)
     db.sort()
     return db
 
@@ -185,8 +189,8 @@ def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
     """Class lists by type key.  `parse_sorou` parses each distinct term
     once, so the loaded classes share one object per distinct root.
 
-    As `save_cache` writes it, each key is one minimal type, the keys are
-    distinct and sorted, and every class has the weight of its type."""
+    As `save_cache` writes it, each key is one minimal type as rendered, the
+    keys are distinct and sorted, and every class has the weight of its type."""
     out: dict[str, tuple[Sorou, ...]] = {}
     previous = ""
     with open(path) as fh:
@@ -204,6 +208,8 @@ def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if not t.is_minimal_claim:
                 raise ValueError(f"{path}:{lineno}: cache keys must be single minimal types")
+            if render_type(t) != key:
+                raise ValueError(f"{path}:{lineno}: cache key {key!r} is not rendered {render_type(t)!r}")
             if key <= previous:
                 what = "duplicate" if key == previous else "out-of-order"
                 raise ValueError(f"{path}:{lineno}: {what} cache key {key!r}")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from minvan.enumeration import SorouCache, sorou_of_minvan_type
@@ -64,6 +66,33 @@ def test_db_rejects_a_partition_that_contradicts_the_type(db16, tmp_path):
     lines[2] = lines[2].replace("\t(1;1;1)\t", "\t(2;1)\t")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"tampered.db:3: partition \(2;1\) != type partition \(1;1;1\)"):
+        load_db(str(path))
+
+
+ROW_7 = "7\t(R5;1:0;(R3;1:0);(R3;1:0))\t30\t(2;2;1;1;1)\t(4;3)\t1\tFalse"
+
+
+@pytest.mark.parametrize(
+    "tampered",
+    [
+        ROW_7.replace("(4;3)", "junk(4;3)junk"),
+        ROW_7.replace("\t30\t", "\t3_0\t"),
+        ROW_7.replace("\t30\t", "\t30;30\t"),
+        ROW_7.replace("\t1\t", "\t 1 \t"),
+        ROW_7.replace("(2;2;1;1;1)", "((2;2;1;1;1))"),
+    ],
+    ids=["junk-parities", "relative-order-3_0", "relative-order-30;30", "padded-height", "double-parens"],
+)
+def test_db_rejects_a_row_that_save_db_would_not_write(db16, tmp_path, tampered):
+    # Each tampered row parses to the record of ROW_7; save_db would write
+    # that record back as ROW_7, so the row is refused at load.
+    path = tmp_path / "tampered.db"
+    save_db(db16, str(path))
+    lines = path.read_text().splitlines()
+    lineno = lines.index(ROW_7) + 1
+    lines[lineno - 1] = tampered
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"tampered.db:{lineno}: .*expected {re.escape(repr(ROW_7))}"):
         load_db(str(path))
 
 
@@ -188,4 +217,15 @@ def test_cache_rejects_a_subtype_at_the_top_prime(tmp_path, shared_cache):
     bad_key = "(R3;1:0;(R3;1:0))"
     path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], bad_key + "\t"])
     with pytest.raises(ValueError, match="corrupt.cache:2: subtype top prime must be below p"):
+        load_cache(path)
+
+
+def test_cache_rejects_a_key_that_is_not_its_types_rendering(tmp_path, shared_cache):
+    # Lookups render the type, so an entry under another spelling of the
+    # same type would never be read.
+    swapped = "(R7;1:0;(R3;1:0);(R5;1:0))"
+    assert render_type(parse_type(swapped)) == "(R7;1:0;(R5;1:0);(R3;1:0))"
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [*ls, swapped + "\t"])
+    message = f"corrupt.cache:3: cache key {swapped!r} is not rendered '(R7;1:0;(R5;1:0);(R3;1:0))'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_cache(path)
