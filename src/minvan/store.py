@@ -109,11 +109,15 @@ def _render_row(r: TypeRecord) -> str:
     )
 
 
-def save_db(db: TypeDatabase, path: str) -> None:
-    lines = [
+def _render_header(db: TypeDatabase) -> str:
+    return (
         f"{DB_FORMAT} maxweight={db.max_complete_weight} "
         f"collapse={'on' if db.collapse else 'off'}"
-    ]
+    )
+
+
+def save_db(db: TypeDatabase, path: str) -> None:
+    lines = [_render_header(db)]
     lines += map(_render_row, sorted(db.records, key=lambda r: (r.weight, sum_key(r.type))))
     _atomic_write(path, ("\n".join(lines) + "\n",))
 
@@ -130,9 +134,12 @@ def load_db(path: str) -> TypeDatabase:
     if not m:
         raise ValueError(f"{path}:1: bad header or version: {header!r}")
     db = TypeDatabase(max_complete_weight=int(m.group(1)), collapse=m.group(2) == "on")
+    rendered = _render_header(db)
+    if header != rendered:
+        raise ValueError(f"{path}:1: header is not as save_db writes it: expected {rendered!r}")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
-            continue
+            raise ValueError(f"{path}:{lineno}: blank line")
         fields = line.split("\t")
         if len(fields) != 7:
             raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
@@ -197,7 +204,7 @@ def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
-                continue
+                raise ValueError(f"{path}:{lineno}: blank line")
             key, sep, rest = line.partition("\t")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: missing tab separator")

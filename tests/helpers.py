@@ -8,16 +8,17 @@ is zero (Gauss's lemma: Phi_N divides an integer polynomial over Q iff it
 does over Z).  `minimality_by_residues` is the subsidiary criterion decided
 on those residues, with every proper subsorou listed one by one.
 
-The library answers "which sub-sum vanishes?" with one sub-multiset DP on
+The library decides vanishing, and answers "which sub-sum vanishes?", on
 packed tower rows; `smallest_vanishing_by_subsets` answers it by walking
-`sub_multisets_of_size` level by level and testing each subset exactly.
+`sub_multisets_of_size` level by level and testing each subset's residue.
+No oracle here reads the tower: they decide vanishing on residues alone.
 """
 
 from dataclasses import dataclass
 from functools import cache, reduce
 
 from minvan.arith import is_squarefree
-from minvan.cyclotomic import cyclotomic_poly, is_vanishing
+from minvan.cyclotomic import cyclotomic_poly
 from minvan.minimality import (
     FAIL_COMMON_SUBVALUE,
     FAIL_INNER_VANISHING,
@@ -97,7 +98,7 @@ def minimality_by_residues(s: Sorou) -> MinimalityVerdict:
     the part orders, with the subsorou values of each part listed one by one."""
     r = relative_order(s)
     if r == 1 or not is_squarefree(r):
-        if is_vanishing(s):
+        if residue(s).is_zero():
             return MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
         return MinimalityVerdict(False, False, FAIL_NOT_VANISHING)
     parts = to_subsidiary(s).parts
@@ -118,8 +119,9 @@ def minimality_by_residues(s: Sorou) -> MinimalityVerdict:
 def smallest_vanishing_by_subsets(s: Sorou) -> list[Sorou]:
     """The vanishing sub-multisets of s of least weight, or [] when no
     nonempty sub-multiset vanishes."""
+    n = order(s)
     for k in range(2, len(s) + 1):
-        found = [sub for sub in sub_multisets_of_size(s, k) if is_vanishing(sub)]
+        found = [sub for sub in sub_multisets_of_size(s, k) if residue(sub, n).is_zero()]
         if found:
             return found
     return []

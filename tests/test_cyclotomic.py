@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import minvan.cyclotomic as cyclotomic
 from minvan.arith import divisors, euler_phi, prime_factors
 from minvan.cyclotomic import (
+    PACK_WIDTH,
     IntPolynomial,
     cyclotomic_poly,
     is_vanishing,
@@ -111,12 +112,49 @@ def test_is_vanishing_never_reads_numeric_value(monkeypatch):
     assert not is_vanishing(((1, 0),) * 10_000)
 
 
+def test_width_holds_the_longest_sum():
+    # At PACK_WIDTH, 1 + 129 nu_3 has the coordinates (128, -1), which pack
+    # to 128 - 2**7 = 0; at any fixed width w, 1 + (2**w + 1) nu_3 does.
+    # is_vanishing widens the field with the length of the sum.
+    assert PACK_WIDTH == 7
+    assert not sum(cyclotomic._packed_tower_row(3, e, PACK_WIDTH) for e in [0] + [1] * 129)
+    for w in range(3, 13):
+        assert not is_vanishing(sorou([(1, 0)] + [(3, 1)] * (2**w + 1)))
+        assert is_vanishing(sorou(R3 * (2**w + 1)))
+    assert is_vanishing(sorou([(3, 1)] * 128 + [(3, 2)] * 128 + [(1, 0)] * 128))
+    assert not is_vanishing(sorou([(3, 1)] * 128 + [(3, 2)] * 128 + [(1, 0)] * 127))
+
+
+def test_long_sums_match_residue():
+    """Sums of 64 to a few thousand terms: rotated R_p planted up to 300
+    times, plus either free terms of multiplicities near powers of two or a
+    rotated 1 + (2**j + 1) nu_3, whose coordinates overflow a field of
+    width j."""
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.choice(TOWER_ORDERS)
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            p, a = rng.choice(prime_factors(n)), rng.randrange(n)
+            terms += [(n, a + k * n // p) for k in range(p)] * rng.randint(1, 300)
+        if n % 3 == 0 and rng.randint(0, 1):
+            a = rng.randrange(n)
+            terms += [(n, a)] + [(n, a + n // 3)] * (2 ** rng.randint(6, 9) + 1)
+        else:
+            for _ in range(rng.randint(0, 3)):
+                root = (rng.choice(divisors(n)), rng.randrange(n))
+                terms += [root] * rng.choice([1, 63, 64, 127, 128, 129, 255, 256, 257])
+        s = sorou(terms)
+        if len(s) > 63:
+            assert is_vanishing(s) == residue(s).is_zero(), s
+
+
 def phi_caches():
     return cyclotomic_poly.cache_info(), _monomial_rows.cache_info()
 
 
 # Orders whose Phi rows the residue oracle builds quickly, most of them not
-# squarefree, so that both tower steps (p | N/p and p not dividing N/p) occur.
+# squarefree, so that tower rows with several blocks per prime occur.
 TOWER_ORDERS = (4, 8, 9, 12, 18, 24, 25, 27, 30, 36, 45, 50, 60, 72, 90, 98, 100, 105, 120, 180, 210, 252, 360, 420)
 
 
@@ -145,10 +183,9 @@ def test_tower_test_matches_residue(s):
     assert phi_caches() == before
 
 
-def test_order_34650_decided_without_phi():
-    n = 34650  # 2 * 3^2 * 5^2 * 7 * 11
-    s = sorou([(n, 1 + k * n // 7) for k in range(7)] + [(n, 2 + k * n // 11) for k in range(11)])
-    assert order(s) == relative_order(s) == n
+def decided_within_bounds(s):
+    """is_minimal_vanishing(s), checked to take under 1 s and 100 MB and to
+    build no Phi_n."""
     before = phi_caches()
     tracemalloc.start()
     start = time.perf_counter()
@@ -156,10 +193,28 @@ def test_order_34650_decided_without_phi():
     elapsed = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert verdict.failing_condition == FAIL_INNER_VANISHING
     assert elapsed < 1.0
     assert peak < 100 * 2**20
     assert phi_caches() == before
+    return verdict
+
+
+def test_order_34650_decided_without_phi():
+    n = 34650  # 2 * 3^2 * 5^2 * 7 * 11
+    s = sorou([(n, 1 + k * n // 7) for k in range(7)] + [(n, 2 + k * n // 11) for k in range(11)])
+    assert order(s) == relative_order(s) == n
+    assert decided_within_bounds(s).failing_condition == FAIL_INNER_VANISHING
+
+
+def test_largest_relative_order_decided_without_phi():
+    # 2 * 3 * ... * 19, the largest squarefree relative order of a minimal
+    # sum of weight <= 21.  A packed row holds phi(n) = 1,658,880
+    # coordinates, and the root 1 has every one of them nonzero.
+    n = 9699690
+    s = sorou([(n, 1 + k * n // 19) for k in range(19)] + [(1, 0), (2, 1)])
+    assert order(s) == relative_order(s) == n
+    assert decided_within_bounds(s).failing_condition == FAIL_INNER_VANISHING
+    assert not is_vanishing(s[1:])
 
 
 def test_values_equal_at_order_4620():

@@ -69,6 +69,29 @@ def test_db_rejects_a_partition_that_contradicts_the_type(db16, tmp_path):
         load_db(str(path))
 
 
+@pytest.mark.parametrize(
+    "padded", ["maxweight=016", "maxweight=\u0661\u0666"], ids=["zero-padded", "arabic-indic-digits"]
+)
+def test_db_rejects_a_header_that_save_db_would_not_write(db16, tmp_path, padded):
+    # Both parse to max weight 16, which save_db writes as maxweight=16.
+    path = tmp_path / "tampered.db"
+    save_db(db16, str(path))
+    path.write_text(path.read_text().replace("maxweight=16", padded, 1))
+    with pytest.raises(ValueError, match=r"tampered.db:1: header is not as save_db writes it"):
+        load_db(str(path))
+
+
+@pytest.mark.parametrize("index", [1, 5, None], ids=["after-header", "between-rows", "at-end"])
+def test_db_rejects_a_blank_line(db16, tmp_path, index):
+    path = tmp_path / "blank.db"
+    save_db(db16, str(path))
+    lines = path.read_text().splitlines()
+    lines.insert(len(lines) if index is None else index, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"blank.db:{len(lines) if index is None else index + 1}: blank line"):
+        load_db(str(path))
+
+
 ROW_7 = "7\t(R5;1:0;(R3;1:0);(R3;1:0))\t30\t(2;2;1;1;1)\t(4;3)\t1\tFalse"
 
 
@@ -169,6 +192,13 @@ def test_cache_rejects_a_duplicate_key(tmp_path, shared_cache):
 def test_cache_rejects_keys_out_of_order(tmp_path, shared_cache):
     path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[1], ls[0]])
     with pytest.raises(ValueError, match="corrupt.cache:2: out-of-order cache key"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["first", "between-keys", "at-end"])
+def test_cache_rejects_a_blank_line(tmp_path, shared_cache, index):
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: ls[:index] + [""] + ls[index:])
+    with pytest.raises(ValueError, match=rf"corrupt.cache:{index + 1}: blank line"):
         load_cache(path)
 
 
