@@ -2,11 +2,10 @@
 
 A sorou of order N vanishes iff its lifted polynomial is divisible by the
 N-th cyclotomic polynomial.  is_vanishing reaches the same verdict without
-Phi_N: every root of order dividing N has integer coordinates 0 or +-1 in
-the cyclotomic tower of N, and the sum vanishes iff its coordinates, added
-up exactly, are all zero.  There is no tolerance in it, and it stays cheap
-at orders in the tens of thousands.  Floating point never decides: the
-numeric value below is printed for comparison only.
+Phi_N: it descends the cyclotomic tower of N one prime at a time down to
+integer comparisons, with no tolerance in it, which stays cheap at orders
+in the tens of thousands.  Floating point never decides: the numeric value
+below is printed for comparison only.
 """
 
 from minvan import (
@@ -35,7 +34,7 @@ h = parse_sorou("5:1+5:2+5:3+5:4+6:1+6:5")  # h1 - h2 written with 6th roots
 print("h = h1 - h2 vanishes:", is_vanishing(h))
 
 # R_7 and R_11 rotated apart by a 34650th root of unity: Phi_34650 has degree
-# 7200, but the tower's 7200 coordinates decide the sum in milliseconds
+# 7200, but the tower decides the sum in milliseconds
 n = 34650
 big = parse_sorou("+".join([f"{n}:{1 + k * n // 7}" for k in range(7)] + [f"{n}:{2 + k * n // 11}" for k in range(11)]))
 print("\norder-34650 sum of R_7 and R_11 vanishes:", is_vanishing(big))

@@ -35,7 +35,7 @@ from functools import cache
 from typing import Callable, Iterable
 
 from minvan.arith import is_squarefree
-from minvan.cyclotomic import PACK_WIDTH, _packed_tower_row, is_vanishing, numeric_value
+from minvan.cyclotomic import _packed_tower_row, is_vanishing, numeric_value
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
     Sorou,
@@ -75,7 +75,7 @@ def _subsum_layers(s: Sorou, modulus: int, least: bool = False) -> tuple[list, l
         raise ValueError(f"subset explosion: weight {n} exceeds guard")
     groups, layers = [], [{(0, 0)}]
     for root, mult in Counter(s).items():
-        row = _packed_tower_row(modulus, root[1] * (modulus // root[0]), PACK_WIDTH)
+        row = _packed_tower_row(modulus, root[1] * (modulus // root[0]))
         groups.append((root, mult, row))
         layer = {(c + j, v + j * row) for c, v in layers[-1] for j in range(mult + 1)}
         if least:

@@ -31,9 +31,8 @@ MINUS_ONE: Root = (2, 1)
 
 # Sub-multiset questions are guarded.  The library's one sub-multiset DP
 # (`minimality._subsum_layers`) sums at most this many packed tower rows,
-# whose coordinates are 0 or +-1, so the guard fixes the DP's packing width
-# (`cyclotomic.PACK_WIDTH`); `is_vanishing` shares it up to the guard and
-# widens it for longer sums.  The streams below serve only the benchmark's
+# whose coordinates are 0 or +-1, so the guard alone fixes the packing width
+# (`cyclotomic.PACK_WIDTH`).  The streams below serve only the benchmark's
 # tracer and the tests' subset oracles; for them the guard bounds a stream
 # at 2**24 combinations: `combinations` walks every index subset, so
 # repeated terms cost as much as distinct ones.

@@ -8,8 +8,9 @@ is zero (Gauss's lemma: Phi_N divides an integer polynomial over Q iff it
 does over Z).  `minimality_by_residues` is the subsidiary criterion decided
 on those residues, with every proper subsorou listed one by one.
 
-The library decides vanishing, and answers "which sub-sum vanishes?", on
-packed tower rows; `smallest_vanishing_by_subsets` answers it by walking
+The library decides vanishing by descending the cyclotomic tower and
+answers "which sub-sum vanishes?" with one sub-multiset DP on packed tower
+rows; `smallest_vanishing_by_subsets` answers it by walking
 `sub_multisets_of_size` level by level and testing each subset's residue.
 No oracle here reads the tower: they decide vanishing on residues alone.
 """

@@ -112,12 +112,13 @@ def test_is_vanishing_never_reads_numeric_value(monkeypatch):
     assert not is_vanishing(((1, 0),) * 10_000)
 
 
-def test_width_holds_the_longest_sum():
-    # At PACK_WIDTH, 1 + 129 nu_3 has the coordinates (128, -1), which pack
-    # to 128 - 2**7 = 0; at any fixed width w, 1 + (2**w + 1) nu_3 does.
-    # is_vanishing widens the field with the length of the sum.
+def test_large_multiplicities_are_exact():
+    # A packed tower row is exact only for sums as long as the DP's guard:
+    # at PACK_WIDTH, 1 + 129 nu_3 has the coordinates (128, -1), which pack
+    # to 128 - 2**7 = 0.  The descent compares integers, so no multiplicity
+    # overflows it.
     assert PACK_WIDTH == 7
-    assert not sum(cyclotomic._packed_tower_row(3, e, PACK_WIDTH) for e in [0] + [1] * 129)
+    assert not sum(cyclotomic._packed_tower_row(3, e) for e in [0] + [1] * 129)
     for w in range(3, 13):
         assert not is_vanishing(sorou([(1, 0)] + [(3, 1)] * (2**w + 1)))
         assert is_vanishing(sorou(R3 * (2**w + 1)))
@@ -128,8 +129,7 @@ def test_width_holds_the_longest_sum():
 def test_long_sums_match_residue():
     """Sums of 64 to a few thousand terms: rotated R_p planted up to 300
     times, plus either free terms of multiplicities near powers of two or a
-    rotated 1 + (2**j + 1) nu_3, whose coordinates overflow a field of
-    width j."""
+    rotated 1 + (2**j + 1) nu_3, whose tower coordinates overflow j bits."""
     rng = random.Random(17)
     for _ in range(300):
         n = rng.choice(TOWER_ORDERS)
@@ -154,7 +154,7 @@ def phi_caches():
 
 
 # Orders whose Phi rows the residue oracle builds quickly, most of them not
-# squarefree, so that tower rows with several blocks per prime occur.
+# squarefree, so that both tower steps (p | N/p and p not dividing N/p) occur.
 TOWER_ORDERS = (4, 8, 9, 12, 18, 24, 25, 27, 30, 36, 45, 50, 60, 72, 90, 98, 100, 105, 120, 180, 210, 252, 360, 420)
 
 
@@ -208,13 +208,40 @@ def test_order_34650_decided_without_phi():
 
 def test_largest_relative_order_decided_without_phi():
     # 2 * 3 * ... * 19, the largest squarefree relative order of a minimal
-    # sum of weight <= 21.  A packed row holds phi(n) = 1,658,880
-    # coordinates, and the root 1 has every one of them nonzero.
+    # sum of weight <= 21, with the root 1, whose tower coordinates are all
+    # nonzero, among the terms.
     n = 9699690
     s = sorou([(n, 1 + k * n // 19) for k in range(19)] + [(1, 0), (2, 1)])
     assert order(s) == relative_order(s) == n
     assert decided_within_bounds(s).failing_condition == FAIL_INNER_VANISHING
     assert not is_vanishing(s[1:])
+
+
+@pytest.mark.parametrize(
+    "text, vanishes",
+    [
+        ("1:0+1000003:1", False),
+        ("1:0+1000000007:1", False),
+        ("3000000021:0+3000000021:1000000007+3000000021:2000000014", True),  # R_3 rotated
+    ],
+)
+def test_large_prime_orders_decided_by_the_descent(text, vanishes):
+    # The descent costs a step per prime of the order and per term, not
+    # phi(order): a root's tower row at a prime order P has P - 1
+    # coordinates.  is_vanishing builds no tower row, so a large order
+    # leaves nothing in the sub-multiset DP's row cache.
+    s = parse_sorou(text)
+    rows = cyclotomic._packed_tower_row.cache_info().currsize
+    tracemalloc.start()
+    start = time.perf_counter()
+    assert is_vanishing(s) == vanishes
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 100 * 2**20
+    assert cyclotomic._packed_tower_row.cache_info().currsize == rows
+    assert decided_within_bounds(s).minimal == vanishes
 
 
 def test_values_equal_at_order_4620():

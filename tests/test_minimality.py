@@ -281,7 +281,7 @@ def test_tower_packing_covers_the_subsum_bound(n):
     assert 1 << (PACK_WIDTH - 1) > 2 * SUBSET_GUARD_WEIGHT
     rows = [_tower_coordinates(n, e) for e in range(n)]
     assert all(len(row) == euler_phi(n) for row in rows)
-    packed = lambda es: sum(_packed_tower_row(n, e, PACK_WIDTH) for e in es)
+    packed = lambda es: sum(_packed_tower_row(n, e) for e in es)
     assert all(_unpack(packed([e]), PACK_WIDTH, len(row)) == row for e, row in enumerate(rows))
     # Rows are values: a rotated R_p packs to 0, and random sub-sums pack
     # equal exactly when their values are equal.

@@ -9,8 +9,7 @@ read from a name that is never traced reads 0.  This reads the tracer's
 tables and the runner's source without installing or running either.
 
 The verify-mix query stream (`perfbench/mix.py`) also pins `minvan verify`:
-the output on three passes is compared with a hash taken before vanishing
-was decided on packed tower rows.
+the output on three passes is compared with a pinned hash.
 """
 
 import ast
@@ -103,9 +102,8 @@ def test_names_the_benchmark_reads_exist():
 
 
 # sha256 over every query of verify-mix passes 0-2 at seed 1 (1,704
-# queries): its text, `minvan verify`'s exit code and its stdout.  Computed
-# before vanishing was decided on packed tower rows; any change to a verdict,
-# a failing condition or an inferred type changes it.
+# queries): its text, `minvan verify`'s exit code and its stdout.  Any
+# change to a verdict, a failing condition or an inferred type changes it.
 VERIFY_MIX_SHA256 = "d706b9de4efe9bb0bb83c06e87845f31a51b964183a6697ce6d287f18a22eb59"
 
 
