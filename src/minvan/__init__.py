@@ -20,10 +20,8 @@ from minvan.sorou import (
     Sorou,
     SubsidiaryDecomposition,
     canonicalize,
-    equivalent,
     from_subsidiary,
     height,
-    is_subsorou,
     make_root,
     order,
     parity,
@@ -59,8 +57,6 @@ from minvan.types import (
     MinVanType,
     TypeRecord,
     TypeSum,
-    compare_types,
-    conjugate_type,
     family_representative,
     infer_type,
     parse_type,

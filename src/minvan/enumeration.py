@@ -31,7 +31,8 @@ module and is transparent to results.
 from __future__ import annotations
 
 import math
-from itertools import chain, product
+from collections import Counter
+from itertools import chain, combinations_with_replacement, product
 
 from minvan.minimality import assembly_criterion
 from minvan.sorou import (
@@ -60,7 +61,7 @@ class SorouCache:
 
     def __init__(self, data: dict[str, tuple[Sorou, ...]] | None = None):
         self._classes: dict[str, tuple[Sorou, ...]] = dict(data or {})
-        self._slots: dict[tuple[str, Sorou], tuple[Sorou, ...]] = {}
+        self._slots: dict[tuple[TypeSum, Sorou], tuple[Sorou, ...]] = {}
 
     def get(self, key: str) -> tuple[Sorou, ...] | None:
         return self._classes.get(key)
@@ -86,7 +87,7 @@ def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[
 
 def _slot_options(t: TypeSum, f0: Sorou, cache: SorouCache) -> tuple[Sorou, ...]:
     """The slots f0 - v that subtype t offers, built once per cache."""
-    key = (render_type(t), f0)
+    key = (t, f0)
     hit = cache._slots.get(key)
     if hit is None:
         options = tuple(subtract(f0, v) for v in sorou_of_typesum_anchored(t, f0, cache))
@@ -167,9 +168,24 @@ def sorou_of_minvan_type(
 
 
 def has_minimal_realization(m: MinVanType, cache: SorouCache) -> bool:
-    """True when some sorou of type m is minimal vanishing; stops at the
-    first witness and builds no sorou of type m."""
-    return any(minimal for _, minimal in _assemblies(m, cache))
+    """True when some sorou of type m is minimal vanishing; builds no sorou
+    of type m.
+
+    An assembly's verdict reads only the set of its slots
+    (`minimality.assembly_criterion`), not where they sit, so placements
+    are not walked: each occurrence of a subtype chooses one of its slot
+    options, a multiset of options per distinct subtype, and f0 is always a
+    slot (a type has at most p - 1 subtypes).  Every assembly has the slot
+    set of one such choice, and every choice is the slot set of some
+    assembly, so m has a minimal realization iff some choice passes.  The
+    search stops at the first that does.
+    """
+    labels, pools = _slot_pools(m, cache)
+    failing = assembly_criterion(m.f0, chain.from_iterable(pools[:-1]))
+    choices = product(
+        *(combinations_with_replacement(pools[i], c) for i, c in Counter(labels).items())
+    )
+    return any(failing((m.f0, *chain.from_iterable(choice))) is None for choice in choices)
 
 
 def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:

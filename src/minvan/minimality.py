@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Iterable
 
 from minvan.arith import is_squarefree
@@ -136,6 +136,11 @@ def assembly_criterion(
     decomposition), so a shared value is one of f0's: each distinct slot
     keeps only the values it shares with f0, computed once, on first use, at
     the lcm of all slot orders, which divides Q and so is squarefree.
+
+    The closure reads only the set of the slots: the verdict does not depend
+    on which slot sits at which power of nu_p, nor on how often a slot
+    repeats, so certification (`enumeration.has_minimal_realization`) asks
+    it once per choice of slots, not once per placement.
     """
     modulus = math.lcm(*map(order, {f0, *options}))
     f0_values = _proper_subsorou_values(f0, modulus)[1]
@@ -145,14 +150,21 @@ def assembly_criterion(
         common = f0_values
         for x in set(slots):
             if x not in shared:
-                zero, values = _proper_subsorou_values(x, modulus)
-                shared[x] = None if zero else values & f0_values
+                shared[x] = _shared_values(x, f0, modulus)
             if shared[x] is None:
                 return FAIL_INNER_VANISHING
             common = common & shared[x]
         return FAIL_COMMON_SUBVALUE if common else None
 
     return failing
+
+
+@lru_cache(maxsize=4096)  # candidates of one weight share most slots
+def _shared_values(x: Sorou, f0: Sorou, modulus: int) -> frozenset | None:
+    """The packed values of proper subsorous of x that f0 has too, or None
+    when a proper subsorou of x vanishes."""
+    zero, values = _proper_subsorou_values(x, modulus)
+    return None if zero else values & _proper_subsorou_values(f0, modulus)[1]
 
 
 def is_minimal_vanishing_bruteforce(s: Sorou) -> bool:

@@ -179,10 +179,6 @@ def subtract(a: Sorou, b: Sorou) -> Sorou:
     return tuple(sorted(list(remaining.elements()) + negated))
 
 
-def is_subsorou(g: Sorou, h: Sorou) -> bool:
-    return Counter(g) <= Counter(h)
-
-
 def sub_multisets_of_size(s: Sorou, k: int) -> Iterator[Sorou]:
     """Distinct sub-multisets of s with exactly k terms, each yielded once:
     the tests' reference walk (the library walks no subsets).
@@ -297,10 +293,6 @@ def canonicalize(s: Sorou) -> Sorou:
     n = order(s)
     _, roots = _rank_table(n)
     return tuple([roots[i] for i in least_rotation([p * (n // o) for o, p in s], n)])
-
-
-def equivalent(s1: Sorou, s2: Sorou) -> bool:
-    return canonicalize(s1) == canonicalize(s2)
 
 
 def split_root(r: Root, p: int) -> tuple[Root, Root]:

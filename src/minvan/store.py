@@ -16,7 +16,6 @@ from typing import Iterable
 
 from minvan.sorou import Sorou, parse_sorou, render_sorou
 from minvan.types import (
-    MinVanType,
     TypeRecord,
     parse_type,
     render_type,
@@ -54,12 +53,6 @@ class TypeDatabase:
 
     def records_for_weight(self, weight: int) -> list[TypeRecord]:
         return [r for r in self.records if r.weight == weight]
-
-    def minimal_types_by_weight(self) -> dict[int, list[MinVanType]]:
-        out: dict[int, list[MinVanType]] = {}
-        for r in self.records:
-            out.setdefault(r.weight, []).append(r.type.components[0])
-        return out
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:

@@ -6,8 +6,11 @@ other part x needs a subsidiary type of weight x + w(f0) drawn from sums of
 already-classified minimal types with top prime below p (or, when x = w(f0),
 the slot may simply repeat f0).  A candidate must contain at least one
 minimal subsidiary type.  Each candidate is certified on its assemblies'
-slots, stopping at the first minimal one; survivors form the complete list
-for weight W.  Each subtype pool is built once per generated weight.
+slots: an assembly's verdict reads only which slots it holds, not where
+they sit, so certification tries one slot option per subtype occurrence,
+with f0 always a slot, and never places them; it stops at the first choice
+that is minimal.  Survivors form the complete list for weight W.  Each
+subtype pool is built once per generated weight.
 
 Whether types are collapsed to one representative per Galois family (the
 classification table's y-parameter grouping) is read from the database
@@ -80,8 +83,13 @@ def candidate_f0s(w: int, p: int, collapse: bool) -> list[Sorou]:
     1 + nu_Q^{e_1} + ... over the full exponent range, Q the product of
     primes below p, excluding any f0 with a vanishing nonempty subsorou;
     with collapse, one f0 per Galois family."""
+    return list(_candidate_f0s(w, p, collapse))
+
+
+@functools.cache  # generating weight 20 asks 258 times for about 20 arguments
+def _candidate_f0s(w: int, p: int, collapse: bool) -> tuple[Sorou, ...]:
     if w == 1:
-        return [(ONE,)]
+        return ((ONE,),)
     q = math.prod(primes_below(p))
     out = set()
     for exps in combinations(range(1, q), w - 1):
@@ -90,7 +98,7 @@ def candidate_f0s(w: int, p: int, collapse: bool) -> list[Sorou]:
             out.add(canonicalize(f0))
     if collapse:
         out = {_f0_family_representative(f0) for f0 in out}
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def typesum_pool(
@@ -98,9 +106,12 @@ def typesum_pool(
 ) -> list[TypeSum]:
     """All type sums of exactly total_weight built from classified minimal
     types with top prime below p, at most max_components components."""
-    by_weight = db.minimal_types_by_weight()
     cands = sorted(
-        (m for ms in by_weight.values() for m in ms if m.p < p and minvan_weight(m) <= total_weight),
+        (
+            m
+            for m in (r.type.components[0] for r in db.records)
+            if m.p < p and minvan_weight(m) <= total_weight
+        ),
         key=minvan_key,
         reverse=True,
     )

@@ -32,21 +32,35 @@ from minvan.sorou import (
     Root,
     Sorou,
     SubsidiaryDecomposition,
+    _rank_table,
     canonicalize,
     from_subsidiary,
     labeled_partitions,
     make_root,
+    order,
     parse_sorou,
     relative_order,
     render_sorou,
-    root_inv,
     root_mul,
-    rotate,
     sorou,
     subtract,
     to_subsidiary,
     weight,
 )
+
+
+@cache  # a generated weight builds thousands of types on a few dozen f0s
+def _checked_f0(p: int, f0: Sorou) -> Sorou:
+    """The canonical form of the f0 of a type with head p, after the checks
+    that read only p and f0."""
+    if not is_prime(p):
+        raise ValueError(f"type head must be prime, got {p}")
+    f0 = canonicalize(f0)
+    if math.prod(primes_below(p)) % relative_order(f0):
+        raise ValueError("f0 relative order must divide the product of primes below p")
+    if _has_vanishing_subsorou(f0):
+        raise ValueError("f0 must have no vanishing nonempty subsorou")
+    return f0
 
 
 @dataclass(frozen=True)
@@ -56,15 +70,8 @@ class MinVanType:
     subtypes: tuple["TypeSum", ...] = ()
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"type head must be prime, got {self.p}")
-        f0 = canonicalize(sorou(self.f0))
+        f0 = _checked_f0(self.p, sorou(self.f0))
         object.__setattr__(self, "f0", f0)
-        q = math.prod(primes_below(self.p))
-        if q % relative_order(f0):
-            raise ValueError("f0 relative order must divide the product of primes below p")
-        if _has_vanishing_subsorou(f0):
-            raise ValueError("f0 must have no vanishing nonempty subsorou")
         if len(self.subtypes) > self.p - 1:
             raise ValueError("more subtypes than available slots")
         w0 = weight(f0)
@@ -75,9 +82,13 @@ class MinVanType:
                 raise ValueError("subtype with more minimal components than w(f0)")
             if any(c.p >= self.p for c in t.components):
                 raise ValueError("subtype top prime must be below p")
-        object.__setattr__(
-            self, "subtypes", tuple(sorted(self.subtypes, key=sum_key, reverse=True))
-        )
+        subtypes = tuple(sorted(self.subtypes, key=sum_key, reverse=True))
+        object.__setattr__(self, "subtypes", subtypes)
+        # Of ints and tuples only, so it does not depend on PYTHONHASHSEED.
+        object.__setattr__(self, "_hash", hash((self.p, f0, subtypes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -87,9 +98,12 @@ class TypeSum:
     def __post_init__(self):
         if not self.components:
             raise ValueError("empty type sum")
-        object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=minvan_key, reverse=True))
-        )
+        components = tuple(sorted(self.components, key=minvan_key, reverse=True))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_hash", hash(components))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_minimal_claim(self) -> bool:
@@ -134,29 +148,29 @@ def weight_partition(m: MinVanType) -> tuple[int, ...]:
 
 @cache
 def minvan_key(m: MinVanType):
+    return _minvan_key(m, m.f0, map(sum_key, m.subtypes))
+
+
+def _minvan_key(m: MinVanType, f0: Sorou, subtype_keys):
+    """The key of a type with the weight, head and subtype count of m, the
+    canonical f0 given, and subtypes of the keys given, in any order."""
     return (
         minvan_weight(m),
         m.p,
-        weight(m.f0),
-        tuple(Fraction(p, o) for o, p in m.f0),
+        weight(f0),
+        tuple(Fraction(p, o) for o, p in f0),
         len(m.subtypes),
-        tuple(sum_key(t) for t in m.subtypes),
+        tuple(sorted(subtype_keys, reverse=True)),
     )
 
 
 @cache
 def sum_key(t: TypeSum):
-    return (
-        type_weight(t),
-        len(t.components),
-        tuple(minvan_key(m) for m in t.components),
-    )
+    return _sum_key(t, map(minvan_key, t.components))
 
 
-def compare_types(a: TypeSum, b: TypeSum) -> int:
-    """Strict total order; negative when a precedes b, 0 only on equality."""
-    ka, kb = sum_key(a), sum_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
+def _sum_key(t: TypeSum, component_keys):
+    return (type_weight(t), len(t.components), tuple(sorted(component_keys, reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +294,21 @@ def _rotations_containing(pool, target: Sorou):
 
     The candidates z are exactly the quotients of target's first term by the
     terms of v, and z*v contains target iff v contains target/z, so only the
-    hits rotate v."""
-    tau_inv = root_inv(target[0])
+    hits rotate v.  Terms are exponents mod n, the lcm of every order in
+    target and pool: 1/z is u = w - t0 for a term w of v, and the rotated
+    roots are read from `_rank_table(n)`."""
+    n = math.lcm(*{o for v in (target, *pool) for o, _ in v})
+    rank, roots = _rank_table(n)
+    te = [p * (n // o) for o, p in target]
+    t0, tcounts = te[0], Counter(te)
     seen = set()
     for v in pool:
-        counts = Counter(v)
+        es = [p * (n // o) for o, p in v]
+        counts = Counter(es)
         for w in counts:
-            u = root_mul(w, tau_inv)  # 1/z
-            if Counter(rotate(target, u)) <= counts:
-                r = rotate(v, root_inv(u))
+            u = (w - t0) % n
+            if all(counts[(e + u) % n] >= c for e, c in tcounts.items()):
+                r = tuple([roots[i] for i in sorted([rank[e - u] for e in es])])
                 if r not in seen:
                     seen.add(r)
                     yield r
@@ -361,7 +381,7 @@ def _infer_minvan(s: Sorou) -> MinVanType:
 
 
 # ---------------------------------------------------------------------------
-# conjugation and family collapse
+# Galois family collapse
 
 
 def _map_type_roots(t: TypeSum, f) -> TypeSum:
@@ -377,24 +397,36 @@ def _map_type_roots(t: TypeSum, f) -> TypeSum:
     )
 
 
-def conjugate_type(t: TypeSum) -> TypeSum:
-    """Complex-conjugate type: negate every f0 power, re-canonicalize."""
-    return _map_type_roots(t, root_inv)
+@cache
+def _order_lcm(m: MinVanType) -> int:
+    """The lcm of the orders of every f0 in m, its subtypes' included."""
+    return math.lcm(order(m.f0), *(_order_lcm(c) for t in m.subtypes for c in t.components))
 
 
-def _type_order_lcm(t: TypeSum) -> int:
-    return math.lcm(
-        *(o for m in t.components for o, _ in m.f0),
-        *(_type_order_lcm(x) for m in t.components for x in m.subtypes),
-        1,
-    )
+def _image_sum_key(t: TypeSum, k: int):
+    """sum_key of the image of t under nu -> nu^k, k a unit mod the order of
+    every f0 in t, without building the image."""
+    return _sum_key(t, (_image_minvan_key(m, k % _order_lcm(m)) for m in t.components))
+
+
+@cache  # per (component, k mod its own lcm): images of one orbit share them
+def _image_minvan_key(m: MinVanType, k: int):
+    f0 = canonicalize(sorou((o, p * k) for o, p in m.f0))
+    return _minvan_key(m, f0, (_image_sum_key(t, k) for t in m.subtypes))
 
 
 def family_representative(t: TypeSum) -> TypeSum:
     """Least member of the Galois orbit of t (the y-parameter family
-    collapse used by the classification table)."""
-    l = _type_order_lcm(t)
-    images = (
-        _map_type_roots(t, lambda r: make_root(r[0], r[1] * k)) for k in units(l)
-    )
-    return min(images, key=sum_key)
+    collapse used by the classification table).
+
+    The images are t under nu -> nu^k, k a unit mod the lcm l of the orders
+    of t's f0s.  An image has t's weights, heads, f0 weights and component and
+    subtype counts; only its f0s change, each to the canonical form of its
+    image, and the order of its components and subtypes follows their keys.
+    So the key of each image is built from the images of t's f0s alone,
+    memoised per component, and only the least image is built: t itself
+    when that is k = 1.
+    """
+    l = math.lcm(*map(_order_lcm, t.components))
+    k = min(units(l), key=lambda k: _image_sum_key(t, k))
+    return t if k == 1 else _map_type_roots(t, lambda r: make_root(r[0], r[1] * k))

@@ -1,5 +1,6 @@
 """Shared builders for the worked examples used across the test suite, the
-Phi_N residue oracle, and the subset oracle for decomposition.
+Phi_N residue oracle, the subset oracle for decomposition, and the kernels
+that certification replaced, kept as oracles for the ones that replace them.
 
 The library compares values in tower coordinates; the oracle reduces each
 term nu_o^p, lifted to the monomial x^(p*N/o), modulo Phi_N.  The remainder
@@ -13,12 +14,20 @@ answers "which sub-sum vanishes?" with one sub-multiset DP on packed tower
 rows; `smallest_vanishing_by_subsets` answers it by walking
 `sub_multisets_of_size` level by level and testing each subset's residue.
 No oracle here reads the tower: they decide vanishing on residues alone.
+
+`family_representative_by_images` builds and compares every Galois image
+of a type, where the library compares keys; `rotations_containing_by_roots`
+rotates root tuples, where the library reads exponents off a rank table.
+`equivalent`, `is_subsorou`, `compare_types` and `conjugate_type` are
+names only tests use.
 """
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 
-from minvan.arith import is_squarefree
+from minvan.arith import is_squarefree, units
 from minvan.cyclotomic import cyclotomic_poly
 from minvan.minimality import (
     FAIL_COMMON_SUBVALUE,
@@ -29,17 +38,21 @@ from minvan.minimality import (
 )
 from minvan.sorou import (
     Sorou,
+    canonicalize,
     make_root,
     order,
     proper_nonempty_subsorous,
     relative_order,
     render_sorou,
+    root_inv,
     root_mul,
+    rotate,
     sorou,
     sub_multisets_of_size,
     subtract,
     to_subsidiary,
 )
+from minvan.types import TypeSum, _map_type_roots, sum_key
 
 
 @cache
@@ -167,3 +180,57 @@ def weight21_height2_sorou() -> Sorou:
 
 
 WEIGHT21_TYPE_TEXT = "(R7;1:0+15:2;(R5;1:0)&(R3;1:0);(R5;1:0;(R3;1:0);(R3;1:0)))"
+
+
+def is_subsorou(g: Sorou, h: Sorou) -> bool:
+    return Counter(g) <= Counter(h)
+
+
+def equivalent(s1: Sorou, s2: Sorou) -> bool:
+    return canonicalize(s1) == canonicalize(s2)
+
+
+def compare_types(a: TypeSum, b: TypeSum) -> int:
+    """Strict total order; negative when a precedes b, 0 only on equality."""
+    ka, kb = sum_key(a), sum_key(b)
+    return -1 if ka < kb else (0 if ka == kb else 1)
+
+
+def conjugate_type(t: TypeSum) -> TypeSum:
+    """Complex-conjugate type: negate every f0 power, re-canonicalize."""
+    return _map_type_roots(t, root_inv)
+
+
+def galois_image(t: TypeSum, k: int) -> TypeSum:
+    """t under nu -> nu^k, built and validated by the type constructors."""
+    return _map_type_roots(t, lambda r: make_root(r[0], r[1] * k))
+
+
+def type_order_lcm(t: TypeSum) -> int:
+    return math.lcm(
+        *(o for m in t.components for o, _ in m.f0),
+        *(type_order_lcm(x) for m in t.components for x in m.subtypes),
+        1,
+    )
+
+
+def family_representative_by_images(t: TypeSum) -> TypeSum:
+    """The least of every Galois image of t, each one built."""
+    return min((galois_image(t, k) for k in units(type_order_lcm(t))), key=sum_key)
+
+
+def rotations_containing_by_roots(pool, target: Sorou):
+    """`types._rotations_containing` on root tuples: for each distinct term
+    w of each v, rotate v by target[0]/w when that rotation contains
+    target; the distinct results in that order."""
+    tau_inv = root_inv(target[0])
+    seen = set()
+    for v in pool:
+        counts = Counter(v)
+        for w in counts:
+            u = root_mul(w, tau_inv)  # 1/z
+            if Counter(rotate(target, u)) <= counts:
+                r = rotate(v, root_inv(u))
+                if r not in seen:
+                    seen.add(r)
+                    yield r

@@ -24,7 +24,6 @@ from minvan.sorou import (
     canonicalize,
     from_subsidiary,
     height,
-    is_subsorou,
     order,
     parity,
     parse_sorou,
@@ -35,6 +34,7 @@ from minvan.sorou import (
 from minvan.typegen import GenerationConfig, _candidates, generate_next_weight
 from minvan.types import minvan_weight, parse_type, render_minvan, render_type
 
+from helpers import is_subsorou
 from table1_fixture import M, T, R2, R3, R5, R5_R3
 
 # One of the four weight-13 candidates that generation drops because every

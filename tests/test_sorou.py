@@ -13,10 +13,8 @@ from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
     ONE,
     canonicalize,
-    equivalent,
     from_subsidiary,
     height,
-    is_subsorou,
     labeled_partitions,
     least_rotation,
     make_root,
@@ -38,7 +36,7 @@ from minvan.sorou import (
     weight,
 )
 
-from helpers import residue
+from helpers import equivalent, is_subsorou, residue
 
 R3 = parse_sorou("1:0+3:1+3:2")
 R5 = parse_sorou("1:0+5:1+5:2+5:3+5:4")

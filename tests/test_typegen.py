@@ -1,19 +1,21 @@
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
 
 from minvan.arith import primes_upto
-from minvan.enumeration import has_minimal_realization
+from minvan.enumeration import _assemblies, has_minimal_realization
 from minvan.sorou import canonicalize, sorou
 from minvan.typegen import (
     GenerationConfig,
+    _candidates,
     candidate_f0s,
     generate_next_weight,
     partitions_into_parts,
     types_2pq_oracle,
     typesum_pool,
 )
-from minvan.types import MinVanType, TypeSum, render_minvan, render_type
+from minvan.types import MinVanType, TypeSum, minvan_key, render_minvan, render_type
 
 
 def brute_force_partitions(n, k):
@@ -200,11 +202,9 @@ def test_oracle_agrees_with_generator(db16):
     assert generated == oracle
 
 
-def test_minvan_filter_drops_only_uncertifiable_candidates(db16, shared_cache):
-    # Generation drops a candidate whose subtypes are all sums.  Build the
-    # weight-13 candidates it drops, from the same pools and f0s, and check
-    # that none of them has a minimal realization.
-    db12 = _truncated(db16, 12)
+def _dropped_candidates(db12) -> set[MinVanType]:
+    """The weight-13 candidates that generation drops because every subtype
+    is a sum, built from the same pools and f0s."""
     w = 13
     dropped = set()
     for p in primes_upto(w):
@@ -229,12 +229,38 @@ def test_minvan_filter_drops_only_uncertifiable_candidates(db16, shared_cache):
                         dropped.add(MinVanType(p, f0, subtypes))
                     except ValueError:
                         continue
+    return dropped
+
+
+def test_minvan_filter_drops_only_uncertifiable_candidates(db16, shared_cache):
+    # Generation drops a candidate whose subtypes are all sums; none of
+    # those it drops at weight 13 has a minimal realization.
+    dropped = _dropped_candidates(_truncated(db16, 12))
     # all four have top prime 5 and an f0 of weight 2; test_enumeration
     # uses this one as its uncertifiable candidate
     assert len(dropped) == 4
     assert "(R5;1:0+6:1;(R3;1:0)&(R3;1:0);(R3;1:0)&(R2;1:0))" in set(map(render_minvan, dropped))
     for m in dropped:
         assert not has_minimal_realization(m, shared_cache), render_minvan(m)
+
+
+def test_slot_choices_decide_as_the_placement_walk(db16, shared_cache):
+    # Certification tries one slot option per subtype occurrence, with f0
+    # always a slot, and never places them; the walk over every placement
+    # of every assembly it replaced is the oracle.  Every candidate through
+    # weight 16, and the four that the filter drops at weight 13.
+    candidates = [
+        m for w in range(2, 17) for m in _candidates(db16, GenerationConfig(target_weight=w))
+    ]
+    dropped = _dropped_candidates(_truncated(db16, 12))
+    verdicts = Counter()
+    for m in candidates + sorted(dropped, key=minvan_key):
+        walked = any(minimal for _, minimal in _assemblies(m, shared_cache))
+        assert has_minimal_realization(m, shared_cache) == walked, render_minvan(m)
+        verdicts[walked] += 1
+    # 103 candidates: the 76 types of the table and 27 rejects; the 4 dropped
+    assert len(db16.records) == 76
+    assert verdicts == {True: 76, False: 27 + 4}
 
 
 def test_every_generated_type_passes_both_minimality_paths(db16):

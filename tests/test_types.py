@@ -1,17 +1,23 @@
+import copy
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import minvan.types
-from minvan.enumeration import sorou_of_minvan_type
+from minvan.arith import units
+from minvan.enumeration import SorouCache, sorou_of_minvan_type
 from minvan.minimality import decompose_into_minimal, is_minimal_vanishing
-from minvan.sorou import equivalent, parse_sorou, render_sorou, weight
+from minvan.sorou import parse_sorou, render_sorou, rotate, weight
+from minvan.store import load_db
 from minvan.types import (
     MinVanType,
     TypeSum,
-    compare_types,
-    conjugate_type,
     family_representative,
     infer_type,
     parse_type,
@@ -23,10 +29,22 @@ from minvan.types import (
     weight_partition,
 )
 
-from helpers import WEIGHT21_TYPE_TEXT, decompose_by_subsets, weight21_height2_sorou
+from helpers import (
+    WEIGHT21_TYPE_TEXT,
+    compare_types,
+    conjugate_type,
+    decompose_by_subsets,
+    equivalent,
+    family_representative_by_images,
+    galois_image,
+    rotations_containing_by_roots,
+    type_order_lcm,
+    weight21_height2_sorou,
+)
 from table1_fixture import M, T, NU3, NU5, R2, R3, R5, R5_R3, R7
 
 H6 = parse_sorou("5:1+5:2+5:3+5:4+6:1+6:5")
+W19_DB = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "w19.db"
 
 
 def test_type_weight_examples():
@@ -221,6 +239,84 @@ def test_family_representative_orbits():
         for e in (1, 7, 11, 13)
     }
     assert len(thirty) == 1
+
+
+def test_family_representative_matches_the_image_oracle(db16):
+    # The key-based collapse against building and comparing every image:
+    # every type of the weight <= 19 table, which holds the table through
+    # 16, and every Galois image of it.  The table is collapsed, so each of
+    # its types is its own representative, returned as is.
+    table = [r.type for r in load_db(str(W19_DB)).records]
+    assert {r.type for r in db16.records} <= set(table)
+    images = 0
+    for t in table:
+        assert family_representative(t) is t
+        for k in units(type_order_lcm(t)):
+            image = galois_image(t, k)
+            assert family_representative(image) == family_representative_by_images(image) == t
+            images += 1
+    assert images == 585
+
+
+def test_rotations_containing_matches_the_root_oracle():
+    # The exponent kernel against the root-tuple kernel it replaced, on
+    # every (pool, f0 part) that building the table through weight 16, with
+    # a fresh cache, and its representatives ask for: the same rotations in
+    # the same order.
+    from conftest import build_database
+
+    kernel = minvan.types._rotations_containing
+    asked = {}
+
+    def recorded(pool, target):
+        asked.setdefault((tuple(pool), target), None)
+        return kernel(pool, target)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minvan.types, "_rotations_containing", recorded)
+        for record in build_database(16, SorouCache()).records:
+            minvan.types._minvan_representative.__wrapped__(record.type.components[0])
+    for pool, target in asked:
+        assert list(kernel(pool, target)) == list(rotations_containing_by_roots(pool, target))
+    assert len(asked) == 45
+
+
+def test_equal_types_are_equal_and_hash_equal_however_built():
+    t = parse_type(WEIGHT21_TYPE_TEXT)
+    m = t.components[0]
+    f5 = TypeSum((R5,))
+    sum_type = m.subtypes[-1]  # (R5;1:0)&(R3;1:0)
+    rebuilt = [
+        parse_type(render_type(t)),
+        # f0 rotated away from its canonical form, subtypes permuted, and
+        # the components of the sum subtype swapped
+        TypeSum((MinVanType(m.p, rotate(m.f0, (15, 4)), tuple(reversed(m.subtypes))),)),
+        TypeSum((
+            MinVanType(m.p, m.f0, (m.subtypes[0], TypeSum(sum_type.components[::-1]))),
+        )),
+        pickle.loads(pickle.dumps(t)),
+        copy.copy(t),
+        copy.deepcopy(t),
+    ]
+    for other in rebuilt:
+        assert other == t and hash(other) == hash(t)
+        assert other.components[0].subtypes[-1] == sum_type
+    assert hash(TypeSum((R3, R5))) == hash(TypeSum((R5, R3)))
+    assert f5 != sum_type and hash(f5) != hash(sum_type)
+
+
+def test_type_hashes_do_not_depend_on_the_string_hash_seed():
+    code = f"from minvan.types import parse_type; print(hash(parse_type({WEIGHT21_TYPE_TEXT!r})))"
+    src = str(Path(minvan.types.__file__).parent.parent)
+    hashes = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(hashes) == 1 and hashes.pop().strip() == str(hash(parse_type(WEIGHT21_TYPE_TEXT)))
 
 
 def test_type_invariants_hold_in_database(db16):
