@@ -258,7 +258,7 @@ def test_family_representative_matches_the_image_oracle(db16):
     assert images == 585
 
 
-def test_rotations_containing_matches_the_root_oracle():
+def test_rotations_containing_matches_the_root_oracle(monkeypatch):
     # The exponent kernel against the root-tuple kernel it replaced, on
     # every (pool, f0 part) that building the table through weight 16, with
     # a fresh cache, and its representatives ask for: the same rotations in
@@ -272,10 +272,9 @@ def test_rotations_containing_matches_the_root_oracle():
         asked.setdefault((tuple(pool), target), None)
         return kernel(pool, target)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(minvan.types, "_rotations_containing", recorded)
-        for record in build_database(16, SorouCache()).records:
-            minvan.types._minvan_representative.__wrapped__(record.type.components[0])
+    monkeypatch.setattr(minvan.types, "_rotations_containing", recorded)
+    for record in build_database(16, SorouCache()).records:
+        minvan.types._minvan_representative.__wrapped__(record.type.components[0])
     for pool, target in asked:
         assert list(kernel(pool, target)) == list(rotations_containing_by_roots(pool, target))
     assert len(asked) == 45
