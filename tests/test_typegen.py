@@ -1,11 +1,14 @@
+import json
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
 from minvan.arith import primes_upto
 from minvan.enumeration import _assemblies, has_minimal_realization
 from minvan.sorou import canonicalize, sorou
+from minvan.store import load_db
 from minvan.typegen import (
     GenerationConfig,
     _candidates,
@@ -261,6 +264,19 @@ def test_slot_choices_decide_as_the_placement_walk(db16, shared_cache):
     # 103 candidates: the 76 types of the table and 27 rejects; the 4 dropped
     assert len(db16.records) == 76
     assert verdicts == {True: 76, False: 27 + 4}
+
+
+def test_weight20_from_the_weight19_fixture_matches_the_reference():
+    # Through weight 16 every certifiable candidate passes on its first
+    # slot choice, so only a heavier weight shows a certification that
+    # tries too few choices (taking the first option of each subtype finds
+    # 129 of these 135 types).  The fixture and the list are the
+    # benchmark's.
+    fixtures = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+    db = load_db(str(fixtures / "w19.db"))
+    found = generate_next_weight(db, GenerationConfig(target_weight=20))
+    reference = json.loads((fixtures / "reference.json").read_text())["certify-w20"]
+    assert [render_type(TypeSum((m,))) for m in found] == reference
 
 
 def test_every_generated_type_passes_both_minimality_paths(db16):
