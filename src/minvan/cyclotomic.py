@@ -155,18 +155,23 @@ def _tower_vanishes(terms: dict[int, int], n: int) -> bool:
     if m == 1:
         # 1, zeta_p, ..., zeta_p^(p-1) satisfy only the relation "sum = 0"
         return len(terms) == p and len(set(terms.values())) == 1
-    groups: list[dict[int, int]] = [{} for _ in range(p)]
+    # Only the classes mod p that hold a term are built: p can be as large
+    # as the order a user types.
+    groups: dict[int, dict[int, int]] = {}
     if m % p == 0:
         # zeta_n^e = zeta_n^(e mod p) * zeta_m^(e // p)
         for e, c in terms.items():
-            groups[e % p][e // p] = c
-        return all(_tower_vanishes(g, m) for g in groups if g)
+            groups.setdefault(e % p, {})[e // p] = c
+        return all(_tower_vanishes(g, m) for g in groups.values())
     # zeta_p * zeta_m is a primitive n-th root of unity, so replacing zeta_n
     # by it is a field automorphism, which preserves vanishing
     for e, c in terms.items():
-        groups[e % p][e % m] = c
+        groups.setdefault(e % p, {})[e % m] = c
+    if len(groups) < p:
+        # an empty class has value 0, so every g_j must vanish
+        return all(_tower_vanishes(g, m) for g in groups.values())
     g0 = groups[0]
-    for g in groups[1:]:
+    for g in groups.values():
         if g == g0:
             continue
         diff = dict(g)

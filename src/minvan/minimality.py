@@ -104,15 +104,20 @@ def is_minimal_vanishing(s: Sorou) -> MinimalityVerdict:
     `assembly_criterion` on the parts of to_subsidiary(s)."""
     if not is_vanishing(s):
         return MinimalityVerdict(False, False, FAIL_NOT_VANISHING)
+    failing = _failing_condition(s)
+    return MinimalityVerdict(True, failing is None, failing)
+
+
+def _failing_condition(s: Sorou) -> str | None:
+    """The condition a vanishing s fails, or None when s is minimal."""
     r = relative_order(s)
     if r == 1 or not is_squarefree(r):
-        return MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
+        return FAIL_INNER_VANISHING
     dec = to_subsidiary(s)
     f0 = dec.parts[0]
     if is_vanishing(f0):
-        return MinimalityVerdict(True, False, FAIL_VALUE_ZERO_F0)
-    failing = assembly_criterion(f0, dec.parts)(dec.parts)
-    return MinimalityVerdict(True, failing is None, failing)
+        return FAIL_VALUE_ZERO_F0
+    return assembly_criterion(f0, dec.parts)(dec.parts)
 
 
 def assembly_criterion(
@@ -211,9 +216,14 @@ def decompose_into_minimal(s: Sorou) -> list[Sorou]:
     Deterministic rule: repeatedly extract the vanishing sub-multiset of
     least weight k (tied by rendered text), which is minimal by construction;
     the DP layers, walked back from the state (k, 0), list every such one.
+    A minimal s is its own only vanishing sub-multiset, so the criterion is
+    asked first: the DP on a minimal s would build every state (1.1 s and
+    over 200 MB for a weight-19 representative).
     """
     if not is_vanishing(s):
         raise ValueError("cannot decompose a non-vanishing sorou")
+    if _failing_condition(s) is None:
+        return [s]
     parts = []
     rest = s
     while rest:

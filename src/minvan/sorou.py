@@ -211,42 +211,87 @@ def _rank_table(n: int) -> tuple[tuple[int, ...], tuple[Root, ...]]:
     return tuple(rank), roots
 
 
-def least_rotation(es: list[int], n: int) -> list[int]:
+@cache
+def _rank_exponents(n: int) -> tuple[int, ...]:
+    """The exponent mod n of each root of `_rank_table(n)`, in rank order."""
+    return tuple(p * (n // o) for o, p in _rank_table(n)[1])
+
+
+def _exponent_mask(es: Iterable[int]) -> int:
+    """The integer with bit e set for each exponent e of es."""
+    t = 0
+    for e in es:
+        t |= 1 << e
+    return t
+
+
+def least_rotation(es: list[int], n: int, mask: int = 0) -> list[int]:
     """Sorted ranks (see `_rank_table`) of the least term-anchored rotation
-    of the exponent multiset es, every exponent in range(n).
+    of the exponent multiset es, every exponent in range(n).  A caller that
+    has `_exponent_mask(es)` may pass it as mask.
 
-    Rotating by the inverse of the term nu_n^a subtracts a.  The anchors are
-    pruned before any rotation is sorted:
-
-    * only a term of maximal multiplicity can anchor the least rotation,
-      since rank 0 (the root 1) is the least rank and its count is the
-      anchor's multiplicity;
-    * among those anchors, the second distinct rank of anchor a's rotation
-      is the least rank r with nu_n^(a + d_r) a term, d_r the exponent of
-      rank r.  Walking r = 1, 2, ..., the first r that some anchor reaches
-      keeps exactly the anchors that reach it: no other anchor can have a
-      key as small.
-
-    The walk stops after len(es) ranks and then keeps every anchor of
-    maximal multiplicity: its lookups are then no more than the unpruned
+    Rotating by the inverse of the term nu_n^a subtracts a, so anchor a's
+    rotation holds rank r iff nu_n^(a + d_r) is a term, d_r the exponent of
+    rank r (`_rank_exponents`).  The anchors are pruned by a walk over the
+    ranks r = 1, 2, ... before any rotation is sorted, and the walk visits
+    at most len(es) ranks: its lookups are then no more than the unpruned
     minimum's, where an uncapped walk at a large n (a sum whose terms are
-    all far apart) could visit thousands of ranks.  Two anchors are
-    compared by sorting both rotations, which costs no more than the walk.
+    all far apart) could visit thousands of ranks.  The anchors left at the
+    cap are compared by sorting their rotations.
+
+    * Distinct terms, n <= 256 len(es): the mask walk.  Every rotation is
+      a set of len(es) ranks, and of two such sets the one holding the
+      least rank of their difference sorts first.  So a rank that some but
+      not all surviving anchors reach keeps exactly those that reach it.
+      The survivors are one bitmask `live`, all terms at the start, and
+      `live & (tt >> d_r)` is those that reach r, tt the terms' mask doubled
+      to 2n bits so that the shift wraps around mod n.  The walk stops
+      when one anchor is left, or when the survivors have reached
+      len(es) - 1 ranks: they agree on every rank visited, so their
+      rotations are then equal and any one is least.  Each step shifts a
+      2n-bit integer, which past about 256 bits per term costs more than
+      probing each anchor (at n = 34650 a shift costs about 30 probes).
+    * Repeated terms, or a larger n: the first-reach walk.  Only a term of
+      maximal multiplicity can anchor the least rotation, since rank 0
+      (the root 1) is the least rank and its count is the anchor's
+      multiplicity.  Among those anchors, the second distinct rank of
+      anchor a's rotation is the least rank a reaches, so the first rank
+      that some anchor reaches keeps exactly the anchors that reach it.
+      Each anchor is probed in a set of the terms.
+
     `rank[e - a]` is `rank[(e - a) % n]` by Python's negative indexing.
     """
-    rank, roots = _rank_table(n)
-    anchors = list(dict.fromkeys(es))
-    if len(anchors) < len(es):
-        top = max(map(es.count, anchors))
-        anchors = [a for a in anchors if es.count(a) == top]
-    if len(anchors) > 2:
-        terms = set(es)
-        for o, p in roots[1 : len(es) + 1]:
-            d = p * (n // o)
-            reached = [a for a in anchors if (a + d) % n in terms]
+    rank, _ = _rank_table(n)
+    w = len(es)
+    if n <= 256 * w and (t := mask or _exponent_mask(es)).bit_count() == w:
+        live, tt, need = t, t | t << n, w - 1
+        for d in _rank_exponents(n)[1 : w + 1]:
+            reached = live & (tt >> d)
             if reached:
-                anchors = reached
-                break
+                if reached != live:
+                    live = reached
+                    if not live & (live - 1):
+                        break
+                need -= 1
+                if not need:
+                    live &= -live  # equal rotations: keep one
+                    break
+        if live & (live - 1):
+            anchors = [e for e in es if live >> e & 1]
+        else:
+            anchors = [live.bit_length() - 1]
+    else:
+        anchors = list(dict.fromkeys(es))
+        if len(anchors) < w:
+            top = max(map(es.count, anchors))
+            anchors = [a for a in anchors if es.count(a) == top]
+        if len(anchors) > 2:
+            terms = set(es)
+            for d in _rank_exponents(n)[1 : w + 1]:
+                reached = [a for a in anchors if (a + d) % n in terms]
+                if reached:
+                    anchors = reached
+                    break
     return min(sorted([rank[e - a] for e in es]) for a in anchors)
 
 
@@ -282,11 +327,13 @@ def canonicalize(s: Sorou) -> Sorou:
 
     Every term and every anchored rotation lives in N = order(s), so terms
     are exponents mod N and `least_rotation` finds the least anchored
-    rotation on them.  It first prunes the anchors, exactly: to the terms
-    of maximal multiplicity, then to those whose nearest other term has the
-    least rank, with that walk capped at weight(s) ranks.  Ranks preserve
-    (order, power) order, so the least sorted rank list is the least
-    rotation.
+    rotation on them.  It first prunes the anchors, exactly, by a walk
+    over the ranks capped at weight(s) ranks: for distinct terms at an
+    order of at most 256 weight(s), a bitmask of the surviving anchors
+    narrowed at every rank that some but not all of them reach; otherwise
+    the terms of maximal multiplicity, narrowed at the first rank any of
+    them reaches.  Ranks preserve (order, power) order, so the least sorted
+    rank list is the least rotation.
     """
     if not s:
         raise ValueError("empty sorou")

@@ -2,7 +2,8 @@ import time
 
 import pytest
 
-from minvan.enumeration import SorouCache, type_statistics
+import minvan.enumeration as enumeration
+from minvan.enumeration import SorouCache, _iter_assembled, type_statistics
 from minvan.store import TypeDatabase
 from minvan.typegen import GenerationConfig, generate_next_weight
 
@@ -26,3 +27,31 @@ def shared_cache() -> SorouCache:
 def db16(shared_cache) -> TypeDatabase:
     """The full classification through weight 16, statistics included."""
     return build_database(16, shared_cache)
+
+
+@pytest.fixture(scope="session")
+def types_through_17(db16, shared_cache):
+    """Every minimal type of weight <= 17: the 76 of db16 and the 37 of
+    weight 17 generated from it."""
+    w17 = generate_next_weight(db16, GenerationConfig(target_weight=17), shared_cache)
+    assert len(w17) == 37
+    return [record.type.components[0] for record in db16.records] + w17
+
+
+@pytest.fixture(scope="session")
+def rotation_calls_17(types_through_17, shared_cache):
+    """(m, es, n, mask) for every call `_iter_assembled` makes to
+    `least_rotation` while assembling the types of weight <= 17."""
+    calls = []
+    least_rotation = enumeration.least_rotation
+    with pytest.MonkeyPatch.context() as mp:
+        for m in types_through_17:
+
+            def recording(es, n, mask=0, m=m):
+                calls.append((m, list(es), n, mask))
+                return least_rotation(es, n, mask)
+
+            mp.setattr(enumeration, "least_rotation", recording)
+            for _ in _iter_assembled(m, shared_cache):
+                pass
+    return calls

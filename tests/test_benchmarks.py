@@ -1,7 +1,7 @@
 """Micro-benchmarks of the hot kernels on fixed weight-16 inputs, of the
 statistics of the weight-16 types, of the exact vanishing test on
-order-4620 sums, of the least-rotation routine's worst cases at order
-34650, of writing and reading the weight <= 16 class cache, and of one
+order-4620 sums, of the least-rotation routine on its common case (the
+weight-17 assemblies at order 210) and its worst cases at order 34650, of writing and reading the weight <= 16 class cache, and of one
 in-process `minvan verify` call.
 
 Run with pytest-benchmark (skipped when it is absent); a few rounds each, so
@@ -84,6 +84,15 @@ def order_34650_exponents():
 
 
 @pytest.fixture(scope="module")
+def weight17_exponents(rotation_calls_17):
+    """The exponent lists, with their masks, that the assembler ranks for
+    the 37 weight-17 types at n = 210: the common case, distinct terms."""
+    calls = [(es, mask) for _, es, n, mask in rotation_calls_17 if n == 210 and len(es) == 17]
+    assert len(calls) == 9100 and all(len(set(es)) == 17 for es, _ in calls)
+    return calls
+
+
+@pytest.fixture(scope="module")
 def weight16_cache(db16, shared_cache, tmp_path_factory):
     """(class lists of the 76 types of weight <= 16, a path to write them
     to, a path they are already written to)."""
@@ -111,6 +120,13 @@ def test_bench_least_rotation_order_34650(benchmark, order_34650_exponents):
     best = run(benchmark, lambda es: least_rotation(es, n), inputs)
     rank, _ = _rank_table(n)
     assert best == [min(sorted(rank[(e - a) % n] for e in es) for a in set(es)) for es in inputs]
+
+
+def test_bench_least_rotation_weight17_order_210(benchmark, weight17_exponents):
+    inputs = [(es, 210, mask) for es, mask in weight17_exponents]
+    best = run(benchmark, lambda call: least_rotation(*call), inputs)
+    rank, _ = _rank_table(210)
+    assert best == [min(sorted(rank[e - a] for e in es) for a in es) for es, _ in weight17_exponents]
 
 
 def test_bench_is_minimal_vanishing(benchmark, weight16_classes):

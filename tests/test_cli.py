@@ -1,6 +1,8 @@
 import os
 import sys
+import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,18 @@ def test_verify_certifies_once(monkeypatch, capsys):
     assert main(["verify", "5:1+5:2+5:3+5:4+6:1+6:5"]) == 0
     assert "type: (R5;1:0;(R3;1:0))" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_verify_answers_fast_at_an_order_with_two_large_primes(capsys):
+    # N is the product of two primes near 10^10: factoring N by trial
+    # division would take hours, and the tower descent must not build one
+    # group per residue of its smallest prime.
+    n = 10000000019 * 10000000033
+    start = time.perf_counter()
+    assert main(["verify", f"1:0+{n}:1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "vanishing: False" in out and "top prime: 10000000033" in out
 
 
 def test_verify_weight21(capsys):
@@ -302,3 +316,44 @@ def test_verify_agrees_with_stored_statistics(db16, capsys):
         a, b = parity(rep)
         assert (a, b) in record.parities
         assert height(rep) in record.heights
+
+
+# sha256 of the outputs of `bootstrap` then one `extend --to 21` process, and
+# of `report` on the result, as built by the code of commit 4797b72.
+WEIGHT21_DIGESTS = {
+    "minvan.db": "7bc3e07e8ce9a0d1452fc656668a9f9bf383ca7795013315b7c3c89cb48564c1",
+    "minvan.db.cache": "218f6b2fe2eccc5c37f9d7f444b4ed4c46a54623d829926dd86f4fb667dbea9c",
+    "report.csv": "42f9834afe9ee50a48be897c5e65669d21422ab74250b07f0869395f08cb7aa7",
+    "report.tex": "5867ba3265fd3240a70bd1327b32cee5cf54aeb5d0653d3ba8d9e1a7358823ed",
+}
+
+
+@pytest.mark.skipif(
+    os.environ.get("MINVAN_ACCEPT_LONG") != "1",
+    reason="builds through weight 21 (about 40 s); set MINVAN_ACCEPT_LONG=1",
+)
+def test_build_through_weight_21_is_byte_identical(tmp_path):
+    import hashlib
+    import subprocess
+
+    import minvan
+
+    env = {**os.environ, "PYTHONPATH": str(Path(minvan.__file__).resolve().parents[1])}
+
+    def minvan_cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "minvan.cli", *argv, "--db", "minvan.db"],
+            cwd=tmp_path, env=env, capture_output=True, check=True,
+        ).stdout
+
+    minvan_cli("bootstrap")
+    minvan_cli("extend", "--to", "21")
+    outputs = {
+        "minvan.db": (tmp_path / "minvan.db").read_bytes(),
+        "minvan.db.cache": (tmp_path / "minvan.db.cache").read_bytes(),
+        "report.csv": minvan_cli("report", "--format", "csv"),
+        "report.tex": minvan_cli("report", "--format", "latex"),
+    }
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == (
+        WEIGHT21_DIGESTS
+    )

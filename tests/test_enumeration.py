@@ -31,7 +31,7 @@ from minvan.sorou import (
     sorou,
     weight,
 )
-from minvan.typegen import GenerationConfig, _candidates, generate_next_weight
+from minvan.typegen import GenerationConfig, _candidates
 from minvan.types import minvan_weight, parse_type, render_minvan, render_type
 
 from helpers import is_subsorou
@@ -257,15 +257,6 @@ def test_statistics_ask_the_criterion_about_no_class(monkeypatch, db16, shared_c
         assert type_statistics(record.type.components[0], shared_cache) == record
 
 
-@pytest.fixture(scope="module")
-def types_through_17(db16, shared_cache):
-    """Every minimal type of weight <= 17: the 76 of db16 and the 37 of
-    weight 17 generated from it."""
-    w17 = generate_next_weight(db16, GenerationConfig(target_weight=17), shared_cache)
-    assert len(w17) == 37
-    return [record.type.components[0] for record in db16.records] + w17
-
-
 def root_statistics(s):
     """(parity, height, relative order) by the functions on roots, or the
     error parity raises."""
@@ -285,13 +276,20 @@ def form_statistics(s):
 def test_form_statistics_match_the_root_functions(types_through_17, shared_cache):
     # Every class of every type through weight 17, minimal or not, as
     # `_iter_assembled` yields it: the statistics read off the least
-    # rotation equal parity, height and relative order on roots.
+    # rotation equal parity, height and relative order on roots.  And on
+    # the minimal classes, which `type_statistics` reads once per order
+    # profile (the tuple of term orders), they are a function of it.
     minimal_by_weight = Counter()
+    by_profile = {}
     for m in types_through_17:
         for s, minimal in dict(_iter_assembled(m, shared_cache)).items():
-            assert form_statistics(s) == root_statistics(s), (render_minvan(m), s)
+            stats = form_statistics(s)
+            assert stats == root_statistics(s), (render_minvan(m), s)
             minimal_by_weight[weight(s)] += minimal
+            if minimal:
+                assert by_profile.setdefault(tuple([o for o, _ in s]), stats) == stats
     assert sum(n for w, n in minimal_by_weight.items() if w >= 13) == 12732
+    assert sum(len(profile) >= 13 for profile in by_profile) == 229
 
 
 def test_statistics_call_no_statistics_on_roots(monkeypatch, db16):

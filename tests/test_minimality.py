@@ -2,8 +2,10 @@ import importlib
 import math
 import pkgutil
 import random
+import time
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,20 @@ def test_decompose_examples():
 
     with pytest.raises(ValueError):
         decompose_into_minimal(sorou([(1, 0), (3, 1)]))
+
+
+def test_decompose_returns_a_minimal_sum_whole_and_fast():
+    # The first weight-19 representative of the benchmark's fixture (read
+    # only): minimal, 19 distinct terms, so the DP would build every state.
+    from minvan.store import load_db
+    from minvan.types import representative_sorou
+
+    fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "w19.db"
+    s = representative_sorou(load_db(str(fixture)).records_for_weight(19)[0].type)
+    assert len(set(s)) == len(s) == 19
+    start = time.perf_counter()
+    assert decompose_into_minimal(s) == [s]
+    assert time.perf_counter() - start < 0.1
 
 
 def test_decompose_r3_plus_negated_r3_prefers_weight2():

@@ -12,6 +12,7 @@ from minvan.cyclotomic import is_vanishing
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
     ONE,
+    _exponent_mask,
     canonicalize,
     from_subsidiary,
     height,
@@ -509,11 +510,55 @@ def test_least_rotation_matches_definition(case):
         ([0, 1, 2], 2520, True),
         ([0, 0, 1, 1, 2, 2], 2520, True),
         ([(2 + 3150 * k) % 34650 for k in range(11)] * 2, 34650, True),  # 2 R_11 rotated
+        # two anchors survive every rank but the last one their rotations
+        # hold, where the lower anchor's rotation is the larger
+        ([0, 1, 3], 6, False),
+        ([1, 4, 106], 210, False),
+        ([0, 70, 124, 140], 210, False),
     ],
 )
 def test_least_rotation_on_ties_and_exhausted_walks(es, n, exhausts):
     assert exhausts_walk(es, n) == exhausts
     assert least_rotation(es, n) == least_rotation_by_definition(es, n)
+
+
+@st.composite
+def distinct_exponent_sets(draw):
+    """(es, n): distinct exponents at orders where the mask walk runs
+    (up to 2310, and 4620 from 19 terms) or gives way to the first-reach
+    walk (34650, and 4620 below 19 terms).  Random sets; rotated cosets of
+    a prime's roots, where every anchor ties; and runs of consecutive
+    exponents, whose differences have large rank and so exhaust the walk."""
+    n = draw(st.sampled_from((6, 12, 30, 60, 210, 2310, 4620, 34650)))
+    kind = draw(st.sampled_from(("random", "cosets", "run")))
+    if kind == "cosets":
+        q = draw(st.sampled_from(prime_factors(n)))
+        shifts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        es = {(a + i * n // q) % n for a in shifts for i in range(q)}
+    elif kind == "run":
+        a, k = draw(st.integers(0, n - 1)), draw(st.integers(1, min(n, 40)))
+        es = {(a + i) % n for i in range(k)}
+    else:
+        es = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40)))
+    return draw(st.permutations(sorted(es))), n
+
+
+@given(distinct_exponent_sets())
+@settings(max_examples=300, deadline=None)
+def test_least_rotation_of_distinct_terms_matches_definition(case):
+    es, n = case
+    expected = least_rotation_by_definition(es, n)
+    assert least_rotation(es, n) == least_rotation(es, n, _exponent_mask(es)) == expected
+
+
+def test_least_rotation_matches_definition_on_assembled_sums(rotation_calls_17):
+    # Every exponent list the assembler ranks for the types of weight <= 17,
+    # with the mask it passes: all have distinct terms, at orders up to 462.
+    assert len(rotation_calls_17) == 16148
+    for _, es, n, mask in rotation_calls_17:
+        assert len(set(es)) == len(es) and n <= 462
+        assert mask == _exponent_mask(es)
+        assert least_rotation(es, n, mask) == least_rotation_by_definition(es, n)
 
 
 @given(sorou_210)
