@@ -40,18 +40,18 @@ def types_through_17(db16, shared_cache):
 
 @pytest.fixture(scope="session")
 def rotation_calls_17(types_through_17, shared_cache):
-    """(m, es, n, mask) for every call `_iter_assembled` makes to
+    """(es, n, mask) for every call `_iter_assembled` makes to
     `least_rotation` while assembling the types of weight <= 17."""
     calls = []
     least_rotation = enumeration.least_rotation
+
+    def recording(es, n, mask=0):
+        calls.append((list(es), n, mask))
+        return least_rotation(es, n, mask)
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "least_rotation", recording)
         for m in types_through_17:
-
-            def recording(es, n, mask=0, m=m):
-                calls.append((m, list(es), n, mask))
-                return least_rotation(es, n, mask)
-
-            mp.setattr(enumeration, "least_rotation", recording)
             for _ in _iter_assembled(m, shared_cache):
                 pass
     return calls

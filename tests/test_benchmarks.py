@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hot kernels on fixed weight-16 inputs, of the
 statistics of the weight-16 types, of the exact vanishing test on
 order-4620 sums, of the least-rotation routine on its common case (the
-weight-17 assemblies at order 210) and its worst cases at order 34650, of writing and reading the weight <= 16 class cache, and of one
-in-process `minvan verify` call.
+weight-17 assemblies at order 210) and on its worst cases at order 34650,
+of writing and reading the weight <= 16 class cache, and of one in-process
+`minvan verify` call.
 
 Run with pytest-benchmark (skipped when it is absent); a few rounds each, so
 the suite's time barely moves.  `pytest tests/test_benchmarks.py
@@ -86,8 +87,8 @@ def order_34650_exponents():
 @pytest.fixture(scope="module")
 def weight17_exponents(rotation_calls_17):
     """The exponent lists, with their masks, that the assembler ranks for
-    the 37 weight-17 types at n = 210: the common case, distinct terms."""
-    calls = [(es, mask) for _, es, n, mask in rotation_calls_17 if n == 210 and len(es) == 17]
+    the weight-17 types at n = 210: the common case, distinct terms."""
+    calls = [(es, mask) for es, n, mask in rotation_calls_17 if n == 210 and len(es) == 17]
     assert len(calls) == 9100 and all(len(set(es)) == 17 for es, _ in calls)
     return calls
 

@@ -555,7 +555,7 @@ def test_least_rotation_matches_definition_on_assembled_sums(rotation_calls_17):
     # Every exponent list the assembler ranks for the types of weight <= 17,
     # with the mask it passes: all have distinct terms, at orders up to 462.
     assert len(rotation_calls_17) == 16148
-    for _, es, n, mask in rotation_calls_17:
+    for es, n, mask in rotation_calls_17:
         assert len(set(es)) == len(es) and n <= 462
         assert mask == _exponent_mask(es)
         assert least_rotation(es, n, mask) == least_rotation_by_definition(es, n)
