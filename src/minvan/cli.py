@@ -27,13 +27,13 @@ from minvan.cyclotomic import cyclotomic_poly
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
     Sorou,
+    _anchored,
+    _parity,
+    _top_prime,
     height,
     order,
-    parity,
     parse_sorou,
-    relative_order,
     render_sorou,
-    top_prime,
     weight,
 )
 from minvan.types import TypeSum, _infer_minvan, parse_type, render_type, render_type_latex
@@ -147,13 +147,14 @@ def cmd_verify(args) -> int:
     print(f"weight: {weight(s)}")
     print(f"height: {height(s)}")
     print(f"order: {order(s)}")
-    print(f"relative order: {relative_order(s)}")
+    r, es = _anchored(s)
+    print(f"relative order: {r}")
     try:
-        print(f"top prime: {top_prime(s)}")
+        print(f"top prime: {_top_prime(r)}")
     except ValueError:
         pass
     try:
-        a, b = parity(s)
+        a, b = _parity(r, es)
         print(f"parity: ({a},{b})")
     except ValueError:
         pass

@@ -23,7 +23,10 @@ in mu_Q, Q the product of the primes below the top prime, so the criterion
 has one path and never calls back into `is_minimal_vanishing`.
 
 A vanishing sorou whose relative order is not squarefree cannot be minimal
-(Mann), so it is refused without decomposing.
+(Mann), so it is refused without decomposing; one with fewer terms than its
+top prime p has an empty slot, so every slot's value is 0, f0's too, and
+it is refused without building p parts.  Verdicts (`_failing_condition`)
+are memoised, 4096 at most: type inference asks about each slot again.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Iterable
 
-from minvan.arith import is_squarefree
+from minvan.arith import is_squarefree, prime_factors
 from minvan.cyclotomic import _packed_tower_row, is_vanishing, numeric_value
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
@@ -108,11 +111,14 @@ def is_minimal_vanishing(s: Sorou) -> MinimalityVerdict:
     return MinimalityVerdict(True, failing is None, failing)
 
 
+@lru_cache(maxsize=4096)  # type inference asks again about each slot difference
 def _failing_condition(s: Sorou) -> str | None:
     """The condition a vanishing s fails, or None when s is minimal."""
     r = relative_order(s)
     if r == 1 or not is_squarefree(r):
         return FAIL_INNER_VANISHING
+    if weight(s) < prime_factors(r)[-1]:
+        return FAIL_VALUE_ZERO_F0
     dec = to_subsidiary(s)
     f0 = dec.parts[0]
     if is_vanishing(f0):

@@ -8,8 +8,8 @@ immutable and safe to share across threads.
 
 This module is purely structural: rotation, orders, parity, subtraction,
 subsorou streams, canonical forms under rotation, and the subsidiary
-decomposition at the top prime.  Deciding whether a sorou vanishes lives in
-:mod:`minvan.cyclotomic`.
+decomposition at the top prime, both computed on term exponents.  Deciding
+whether a sorou vanishes lives in :mod:`minvan.cyclotomic`.
 """
 
 from __future__ import annotations
@@ -131,22 +131,19 @@ def order(s: Sorou) -> int:
 def relative_order(s: Sorou) -> int:
     """Order of the group generated by the term ratios of s: with terms
     nu_N^e_i, N = order(s), the subgroup of Z/N spanned by e_i - e_0."""
+    return _anchored(s)[0]
+
+
+def _anchored(s: Sorou) -> tuple[int, list[int]]:
+    """(r, es): r = relative_order(s), and es the exponents mod r of the
+    terms of s, in their order, once s is rotated to take s[0] to 1."""
     n = order(s)
     es = [p * (n // o) for o, p in s]
-    return n // math.gcd(n, *(e - es[0] for e in es))
+    g = math.gcd(n, *(e - es[0] for e in es))
+    return n // g, [(e - es[0]) // g % (n // g) for e in es]
 
 
-def _anchor(s: Sorou) -> Sorou:
-    """s rotated to take its first term to 1; its order is relative_order(s)."""
-    if not s:
-        raise ValueError("empty sorou")
-    return s if s[0] == ONE else rotate(s, root_inv(s[0]))
-
-
-def top_prime(s: Sorou) -> int:
-    """Largest prime of relative_order(s), the prime `to_subsidiary` splits
-    at, found without decomposing s."""
-    r = relative_order(s)
+def _top_prime(r: int) -> int:
     if not is_squarefree(r):
         raise ValueError("subsidiary decomposition undefined: relative order not squarefree")
     if r == 1:
@@ -154,17 +151,25 @@ def top_prime(s: Sorou) -> int:
     return prime_factors(r)[-1]
 
 
-def parity(s: Sorou) -> tuple[int, int]:
-    """Unordered (max, min) count of odd- versus even-order terms.
+def top_prime(s: Sorou) -> int:
+    """Largest prime of relative_order(s), the prime `to_subsidiary` splits
+    at, found without decomposing s."""
+    return _top_prime(relative_order(s))
 
-    Computed on a rotation representative whose order equals the relative
-    order; defined only when that order is squarefree.
-    """
-    rep = _anchor(s)
-    if not is_squarefree(order(rep)):
+
+def parity(s: Sorou) -> tuple[int, int]:
+    """Unordered (max, min) count of odd- versus even-order terms of s
+    rotated to take s[0] to 1, whose order is the relative order; defined
+    only when that order is squarefree."""
+    return _parity(*_anchored(s))
+
+
+def _parity(r: int, es: list[int]) -> tuple[int, int]:
+    """`parity` on `_anchored(s)`: the term of exponent a has order r / gcd(r, a)."""
+    if not is_squarefree(r):
         raise ValueError("parity undefined: relative order not squarefree")
-    odd = sum(1 for o, _ in rep if o % 2)
-    return (max(odd, len(rep) - odd), min(odd, len(rep) - odd))
+    odd = sum([r // math.gcd(r, a) & 1 for a in es])
+    return (max(odd, len(es) - odd), min(odd, len(es) - odd))
 
 
 def subtract(a: Sorou, b: Sorou) -> Sorou:
@@ -369,17 +374,23 @@ class SubsidiaryDecomposition:
 
 def to_subsidiary(s: Sorou) -> SubsidiaryDecomposition:
     """Decompose s at its top prime, normalized so that f_0 is a nonempty
-    part of minimal weight containing the root 1."""
-    rep = _anchor(s)
-    p = top_prime(rep)
-    buckets: list[list[Root]] = [[] for _ in range(p)]
-    for t in rep:
-        head, tail = split_root(t, p)
-        buckets[head[1] if head[0] == p else 0].append(tail)
-    j0 = min((j for j in range(p) if buckets[j]), key=lambda j: (len(buckets[j]), j))
-    shifted = [buckets[(j + j0) % p] for j in range(p)]
-    u = root_inv(min(shifted[0]))
-    parts = tuple(tuple(sorted(root_mul(t, u) for t in part)) for part in shifted)
+    part of minimal weight containing the root 1.
+
+    On the exponents a mod r = p m of s anchored at s[0] (`_anchored`): by
+    CRT, nu_r^a = nu_p^(a x) nu_m^(a y) for x = m^-1 mod p and y = p^-1
+    mod m, so a goes to slot a x mod p with tail exponent a y mod m.  Only
+    slots that hold a term are built; tails become roots in the parts."""
+    r, es = _anchored(s)
+    p = _top_prime(r)
+    m = r // p
+    x, y = pow(m, -1, p), pow(p, -1, m)
+    slots: dict[int, list[int]] = {}
+    for a in es:
+        slots.setdefault(a * x % p, []).append(a * y % m)
+    j0 = min(slots, key=lambda j: (len(slots[j]), j))
+    u = min(slots[j0], key=lambda b: make_root(m, b))
+    shifted = (slots.get(j % p, ()) for j in range(j0, j0 + p))
+    parts = tuple(tuple(sorted([make_root(m, b - u) for b in tails])) for tails in shifted)
     return SubsidiaryDecomposition(p, parts)
 
 

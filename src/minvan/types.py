@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, product
 
 from minvan.arith import is_prime, primes_below, units
@@ -365,6 +365,7 @@ def infer_type(s: Sorou) -> TypeSum:
     return TypeSum((_infer_minvan(s),))
 
 
+@lru_cache(maxsize=4096)  # equal slot differences recur within and across queries
 def _infer_minvan(s: Sorou) -> MinVanType:
     """The type `infer_type` gives s, which must be minimal vanishing.  The
     pieces recursed into are minimal by construction: each is a vanishing

@@ -18,17 +18,26 @@ No oracle here reads the tower: they decide vanishing on residues alone.
 `family_representative_by_images` builds and compares every Galois image
 of a type, where the library compares keys; `rotations_containing_by_roots`
 rotates root tuples, where the library reads exponents off a rank table.
+`to_subsidiary_by_roots` is the subsidiary decomposition on root tuples,
+split term by term with `split_root`, where the library buckets exponents.
+`clear_verify_memos` empties the bounded memos that `minvan verify` reads,
+for tests that time or count the work beneath them, and
+`verify_mix_texts` builds the benchmark's verify stream.
 `equivalent`, `is_subsorou`, `compare_types` and `conjugate_type` are
 names only tests use.
 """
 
+import importlib.util
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
+from pathlib import Path
 
 from minvan.arith import is_squarefree, units
 from minvan.cyclotomic import cyclotomic_poly
+from minvan import minimality, types
 from minvan.minimality import (
     FAIL_COMMON_SUBVALUE,
     FAIL_INNER_VANISHING,
@@ -38,6 +47,7 @@ from minvan.minimality import (
 )
 from minvan.sorou import (
     Sorou,
+    SubsidiaryDecomposition,
     canonicalize,
     make_root,
     order,
@@ -48,9 +58,11 @@ from minvan.sorou import (
     root_mul,
     rotate,
     sorou,
+    split_root,
     sub_multisets_of_size,
     subtract,
     to_subsidiary,
+    top_prime,
 )
 from minvan.types import TypeSum, _map_type_roots, sum_key
 
@@ -234,3 +246,53 @@ def rotations_containing_by_roots(pool, target: Sorou):
                 if r not in seen:
                     seen.add(r)
                     yield r
+
+
+def to_subsidiary_by_roots(s: Sorou) -> SubsidiaryDecomposition:
+    """`to_subsidiary` on root tuples: rotate s to take s[0] to 1, split
+    each term by `split_root` at the top prime p into a power of nu_p (its
+    slot) and a tail, shift the slots to start at the least-weight
+    nonempty slot (least index on ties), and rotate every part by the
+    inverse of that slot's least tail."""
+    if not s:
+        raise ValueError("empty sorou")
+    rep = rotate(s, root_inv(s[0]))
+    p = top_prime(rep)
+    buckets = [[] for _ in range(p)]
+    for t in rep:
+        head, tail = split_root(t, p)
+        buckets[head[1] if head[0] == p else 0].append(tail)
+    j0 = min((j for j in range(p) if buckets[j]), key=lambda j: (len(buckets[j]), j))
+    shifted = [buckets[(j + j0) % p] for j in range(p)]
+    u = root_inv(min(shifted[0]))
+    return SubsidiaryDecomposition(
+        p, tuple(tuple(sorted(root_mul(t, u) for t in part)) for part in shifted)
+    )
+
+
+# The bounded memos of the questions `minvan verify` asks again.
+VERIFY_MEMOS = (minimality._failing_condition, types._infer_minvan)
+
+
+def clear_verify_memos() -> None:
+    for memo in VERIFY_MEMOS:
+        memo.cache_clear()
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module, without putting perfbench on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def verify_mix_texts(seed: int, passes) -> list[str]:
+    """The query texts of the given verify-mix passes, in stream order."""
+    mix = load_perfbench("mix")
+    reps = mix.representatives(str(PERFBENCH / "fixtures" / "w19.db"))
+    return [q.text for i in passes for q in mix.stream(reps, seed, i)]

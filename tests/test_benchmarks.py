@@ -2,8 +2,10 @@
 statistics of the weight-16 types, of the exact vanishing test on
 order-4620 sums, of the least-rotation routine on its common case (the
 weight-17 assemblies at order 210) and on its worst cases at order 34650,
-of writing and reading the weight <= 16 class cache, and of one in-process
-`minvan verify` call.
+of writing and reading the weight <= 16 class cache, of one in-process
+`minvan verify` call, and of one cold verify-mix pass.  The benchmarks of
+`verify` and of the criterion clear its memos before each round, so that
+they time the work and not memo hits.
 
 Run with pytest-benchmark (skipped when it is absent); a few rounds each, so
 the suite's time barely moves.  `pytest tests/test_benchmarks.py
@@ -32,6 +34,8 @@ from minvan.sorou import (
 )
 from minvan.store import load_cache, save_cache
 from minvan.types import render_type
+
+from helpers import clear_verify_memos, verify_mix_texts
 
 pytest.importorskip("pytest_benchmark")
 
@@ -107,8 +111,16 @@ def weight16_cache(db16, shared_cache, tmp_path_factory):
     return data, str(directory / "scratch.cache"), saved
 
 
-def run(benchmark, fn, inputs):
-    return benchmark.pedantic(lambda: [fn(s) for s in inputs], rounds=ROUNDS, iterations=1)
+@pytest.fixture(scope="module")
+def verify_mix_pass():
+    """The query texts of verify-mix pass 0 at seed 1 (568 queries)."""
+    return verify_mix_texts(1, [0])
+
+
+def run(benchmark, fn, inputs, setup=None):
+    return benchmark.pedantic(
+        lambda: [fn(s) for s in inputs], setup=setup, rounds=ROUNDS, iterations=1
+    )
 
 
 def test_bench_canonicalize(benchmark, weight16_classes):
@@ -131,15 +143,24 @@ def test_bench_least_rotation_weight17_order_210(benchmark, weight17_exponents):
 
 
 def test_bench_is_minimal_vanishing(benchmark, weight16_classes):
-    verdicts = run(benchmark, is_minimal_vanishing, weight16_classes)
+    verdicts = run(benchmark, is_minimal_vanishing, weight16_classes, setup=clear_verify_memos)
     assert all(v.minimal for v in verdicts)
 
 
 def test_bench_cli_verify(benchmark, weight16_classes, capsys):
     """One call, parsing included, so the table shows the per-call cost."""
     argv = ["verify", render_sorou(weight16_classes[0])]
-    assert benchmark.pedantic(main, args=(argv,), rounds=50, iterations=1) == 0
+    assert benchmark.pedantic(
+        main, setup=lambda: clear_verify_memos() or ((argv,), {}), rounds=50, iterations=1
+    ) == 0
     assert "minimal: True" in capsys.readouterr().out
+
+
+def test_bench_verify_mix_pass(benchmark, verify_mix_pass, capsys):
+    """One pass of the benchmark's verify stream, memos cleared first."""
+    codes = run(benchmark, lambda text: main(["verify", text]), verify_mix_pass, clear_verify_memos)
+    capsys.readouterr()
+    assert codes.count(0) == 284 and set(codes) == {0, 1}
 
 
 def test_bench_is_vanishing(benchmark, weight16_classes):

@@ -1,6 +1,7 @@
 import os
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from minvan.cli import BOOTSTRAP_FIXTURE, main
 from minvan.minimality import is_minimal_vanishing
 from minvan.store import load_db
 
-from helpers import WEIGHT21_TYPE_TEXT
+from helpers import WEIGHT21_TYPE_TEXT, clear_verify_memos
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,25 @@ def test_verify_answers_fast_at_an_order_with_two_large_primes(capsys):
     assert time.perf_counter() - start < 1.0
     out = capsys.readouterr().out
     assert "vanishing: False" in out and "top prime: 10000000033" in out
+
+
+def test_verify_decides_a_large_top_prime_without_a_slot_per_residue(capsys):
+    # 1 - 1 + nu_N - nu_N vanishes at relative order 2N, top prime N: with
+    # 4 terms most of the N slots are empty, so every slot has value 0.
+    # Building one part per residue of N took 0.8 s and 100 MB.
+    n = 1000003
+    clear_verify_memos()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert main(["verify", f"1:0+2:1+{n}:1+{2 * n}:{n + 2}"]) == 1
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.25 and peak < 2_000_000
+    out = capsys.readouterr().out
+    assert "minimal: False (value-zero-f0)" in out and f"top prime: {n}" in out
 
 
 def test_verify_weight21(capsys):

@@ -9,22 +9,31 @@ read from a name that is never traced reads 0.  This reads the tracer's
 tables and the runner's source without installing or running either.
 
 The verify-mix query stream (`perfbench/mix.py`) also pins `minvan verify`:
-the output on three passes is compared with a pinned hash.
+the output on three passes is compared with a pinned hash, with its memos
+warm and cleared before each query, and every sum it decomposes is
+decomposed by the root oracle too.
 """
 
 import ast
 import hashlib
 import importlib
-import importlib.util
 import sys
-from pathlib import Path
+
+import pytest
 
 from minvan import cli
+from minvan.sorou import render_sorou, to_subsidiary
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from helpers import (
+    PERFBENCH,
+    clear_verify_memos,
+    load_perfbench,
+    to_subsidiary_by_roots,
+    verify_mix_texts,
+)
+
 SPANS = PERFBENCH / "spans.py"
 RUN = PERFBENCH / "run.py"
-MIX = PERFBENCH / "mix.py"
 
 # Names the benchmark still reads although the library no longer defines
 # them; each metric built on them reads 0 (reported in CHANGES.md).
@@ -32,16 +41,8 @@ KNOWN_MISSING = {"cyclotomic.residue", "cyclotomic._monomial_rows"}
 READERS = ("calls", "self_s", "incl")
 
 
-def load(path: Path):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_layers_and_primitives_exist():
-    spans = load(SPANS)
+    spans = load_perfbench("spans")
     assert set(spans.PRIMITIVES) <= set(spans.LAYERS)
     for layer in spans.LAYERS:
         module = vars(importlib.import_module(f"minvan.{layer}"))
@@ -81,7 +82,7 @@ def hook_names() -> set[str]:
 
 
 def test_names_the_benchmark_reads_exist():
-    spans = load(SPANS)
+    spans = load_perfbench("spans")
     read = names_read_by_run()
     assert "typegen._certify" in read and "enumeration.sorou_of_typesum_anchored" in read
     names = (
@@ -107,15 +108,50 @@ def test_names_the_benchmark_reads_exist():
 VERIFY_MIX_SHA256 = "d706b9de4efe9bb0bb83c06e87845f31a51b964183a6697ce6d287f18a22eb59"
 
 
-def test_verify_output_on_the_mix_is_pinned(capsys):
-    mix = load(MIX)
-    reps = mix.representatives(str(PERFBENCH / "fixtures" / "w19.db"))
+@pytest.fixture(scope="module")
+def mix_queries():
+    """The texts of verify-mix passes 0-2 at seed 1, in stream order."""
+    return verify_mix_texts(1, range(3))
+
+
+def mix_digest(queries, capsys, before_each=lambda: None) -> str:
     digest = hashlib.sha256()
-    count = 0
-    for pass_index in range(3):
-        for q in mix.stream(reps, 1, pass_index):
-            code = cli.main(["verify", q.text])
-            digest.update(f"{q.text}\n{code}\n{capsys.readouterr().out}\0".encode())
-            count += 1
-    assert count == 1704
-    assert digest.hexdigest() == VERIFY_MIX_SHA256
+    for text in queries:
+        before_each()
+        code = cli.main(["verify", text])
+        digest.update(f"{text}\n{code}\n{capsys.readouterr().out}\0".encode())
+    return digest.hexdigest()
+
+
+def test_verify_output_on_the_mix_is_pinned(mix_queries, capsys):
+    assert len(mix_queries) == 1704
+    assert mix_digest(mix_queries, capsys) == VERIFY_MIX_SHA256
+
+
+def test_verify_memos_change_no_output(mix_queries, capsys):
+    """Every memo that `verify` reads, cleared before each query, then warm
+    from the first run: the same pinned output."""
+    assert mix_digest(mix_queries, capsys, clear_verify_memos) == VERIFY_MIX_SHA256
+    assert mix_digest(mix_queries, capsys) == VERIFY_MIX_SHA256
+
+
+def test_decomposition_matches_the_root_oracle_on_the_mix(mix_queries, monkeypatch, capsys):
+    """Every sorou that `verify` decomposes on the mix, decomposed on root
+    tuples as well.  The memos are cleared first, so that every argument a
+    run makes reaches `to_subsidiary`."""
+    seen = set()
+
+    def recording(s):
+        seen.add(s)
+        return to_subsidiary(s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minvan") and vars(module).get("to_subsidiary") is to_subsidiary:
+            monkeypatch.setattr(module, "to_subsidiary", recording)
+    clear_verify_memos()
+    for text in mix_queries:
+        cli.main(["verify", text])
+    capsys.readouterr()
+    assert len(seen) > 1000
+    for s in seen:
+        assert to_subsidiary(s) == to_subsidiary_by_roots(s), render_sorou(s)

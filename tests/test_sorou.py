@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minvan.arith import is_squarefree, prime_factors, units
+from minvan.arith import divisors, is_squarefree, prime_factors, units
 from minvan.cyclotomic import is_vanishing
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
@@ -37,7 +37,7 @@ from minvan.sorou import (
     weight,
 )
 
-from helpers import equivalent, is_subsorou, residue
+from helpers import equivalent, is_subsorou, residue, to_subsidiary_by_roots
 
 R3 = parse_sorou("1:0+3:1+3:2")
 R5 = parse_sorou("1:0+5:1+5:2+5:3+5:4")
@@ -174,6 +174,35 @@ def test_to_subsidiary_r5_r3():
     assert sorted(map(len, dec.parts)) == [1, 1, 1, 1, 2]
     assert dec.parts[0] == ((1, 0),)
     assert sorou([(6, 1), (6, 5)]) in dec.parts
+
+
+# Orders whose top primes are 3, 5, 7, 11, 11 and 10007; 4620 = 4 * 1155
+# also gives relative orders that are not squarefree.
+SUBSIDIARY_ORDERS = (6, 30, 210, 2310, 4620, 20014)
+
+
+@st.composite
+def coset_sums(draw):
+    """Up to 12 terms, repeats allowed, drawn from a coset of a subgroup of
+    mu_n, so that every divisor of n is a possible relative order."""
+    n = draw(st.sampled_from(SUBSIDIARY_ORDERS))
+    step = draw(st.sampled_from(divisors(n)))
+    offset = draw(st.integers(0, n - 1))
+    ks = draw(st.lists(st.integers(0, n // step - 1), max_size=12))
+    return sorou((n, offset + step * k) for k in ks)
+
+
+def _decomposed(decompose, s):
+    try:
+        return decompose(s)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coset_sums())
+def test_to_subsidiary_matches_the_root_decomposition(s):
+    assert _decomposed(to_subsidiary, s) == _decomposed(to_subsidiary_by_roots, s)
 
 
 def test_from_subsidiary_round_trip():
