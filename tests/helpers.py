@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from pathlib import Path
 
+from minvan import minimality, types
 from minvan.arith import is_squarefree, units
 from minvan.cyclotomic import cyclotomic_poly
-from minvan import minimality, types
 from minvan.minimality import (
     FAIL_COMMON_SUBVALUE,
     FAIL_INNER_VANISHING,

@@ -150,9 +150,12 @@ def test_bench_is_minimal_vanishing(benchmark, weight16_classes):
 def test_bench_cli_verify(benchmark, weight16_classes, capsys):
     """One call, parsing included, so the table shows the per-call cost."""
     argv = ["verify", render_sorou(weight16_classes[0])]
-    assert benchmark.pedantic(
-        main, setup=lambda: clear_verify_memos() or ((argv,), {}), rounds=50, iterations=1
-    ) == 0
+
+    def setup():
+        clear_verify_memos()
+        return (argv,), {}
+
+    assert benchmark.pedantic(main, setup=setup, rounds=50, iterations=1) == 0
     assert "minimal: True" in capsys.readouterr().out
 
 

@@ -95,7 +95,7 @@ def test_verify_answers_fast_at_an_order_with_two_large_primes(capsys):
 def test_verify_decides_a_large_top_prime_without_a_slot_per_residue(capsys):
     # 1 - 1 + nu_N - nu_N vanishes at relative order 2N, top prime N: with
     # 4 terms most of the N slots are empty, so every slot has value 0.
-    # Building one part per residue of N took 0.8 s and 100 MB.
+    # Building one part per residue of N took about 1 s and 100 MB.
     n = 1000003
     clear_verify_memos()
     tracemalloc.start()
