@@ -19,8 +19,7 @@ from minvan import (
 
 h = parse_sorou("5:1+5:2+5:3+5:4+6:1+6:5")
 print("h =", render_sorou(h), "  top prime:", top_prime(h))
-dec = to_subsidiary(h)
-for j, part in enumerate(dec.parts):
+for j, part in enumerate(to_subsidiary(h)):
     print(f"  f_{j} =", render_sorou(part) if part else "(empty)")
 print("verdict:", is_minimal_vanishing(h))
 print("brute force agrees:", is_minimal_vanishing_bruteforce(h))

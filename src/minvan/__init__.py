@@ -18,7 +18,6 @@ from minvan.sorou import (
     ONE,
     Root,
     Sorou,
-    SubsidiaryDecomposition,
     canonicalize,
     from_subsidiary,
     height,

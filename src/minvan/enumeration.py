@@ -1,19 +1,20 @@
 """Enumeration of all sorou of a given type, up to rotation.
 
-A minimal type is realized slot by slot: the first subtype is anchored at
-slot 0 (a sound cyclic-symmetry reduction, validated against the unanchored
-search), the remaining subtypes are placed injectively on the other slots,
-and every placed subtype ranges over all rotations of all its sorou classes
-that contain f0.  Non-minimal (sum) subtypes are enumerated anchored: f0's
-terms are split among the minimal components, each component rotated to
-contain its share — any sorou missing that property could only assemble into
-a non-minimal parent.
+A minimal type is realized slot by slot: the first subtype is fixed at slot
+0 (a cyclic shift of the slots is a rotation, and moves any slot to 0), the
+remaining subtypes are placed injectively on the other slots, and every
+placed subtype ranges over all rotations of all its sorou classes that
+contain f0.  Non-minimal (sum) subtypes are enumerated anchored: f0's terms
+are split among the minimal components, each component rotated to contain
+its share — any sorou missing that property could only assemble into a
+non-minimal parent.  There is no unanchored mode.
 
 Each assembly is decided minimal or not on its slots, which are the parts
 of its subsidiary decomposition (minimality.assembly_criterion), so the
 certification fallback builds no sorou of the candidate type, and
 statistics enumerate a type once and ask the criterion about no class.
-Each (subtype, f0) pair's slot options are built once per cache.
+Each (subtype, f0) pair's slot options are built once per cache, and each
+type's criterion once per walk, with its pools (`_slot_pools`).
 
 An assembled sorou is never built as (order, power) roots: each assembly
 of a type is a list of exponents mod one order N for the whole type, with
@@ -22,11 +23,10 @@ For distinct terms at an N of at most 256 per term it narrows the
 candidate anchors as one bitmask, a shift and an AND per rank, until one
 anchor is left or the survivors are equal rotations; the walk visits at
 most weight-many ranks, and only the anchors left at that cap are sorted.
-Only the yielded canonical form is converted back to roots, and the
-statistics of a class (parity, height, relative order) are read off that
-form, which contains the root 1 at maximal multiplicity; no rotation or
-decomposition is built for them, and they are computed once per order
-profile of the type's minimal classes.
+Only the yielded canonical form is converted back to roots.  The
+statistics of a class (parity, height, relative order) are functions of
+its order profile, so `parity`, `height` and `relative_order` are called
+once per order profile of the type's minimal classes.
 
 Results are deduplicated by canonical form (true rotation classes) and
 memoized per rendered type; the memo can be persisted through the store
@@ -43,11 +43,13 @@ from minvan.minimality import assembly_criterion
 from minvan.sorou import (
     Sorou,
     _exponent_mask,
-    _form_statistics,
     _rank_table,
     distinct_permutations,
+    height,
     least_rotation,
     order,
+    parity,
+    relative_order,
     subtract,
 )
 from minvan.types import (
@@ -55,7 +57,7 @@ from minvan.types import (
     TypeRecord,
     TypeSum,
     _anchored_sums,
-    render_type,
+    render_minvan,
     type_weight,
     weight_partition,
 )
@@ -101,36 +103,32 @@ def _slot_options(t: TypeSum, f0: Sorou, cache: SorouCache) -> tuple[Sorou, ...]
     return hit
 
 
-def _slot_pools(m: MinVanType, cache: SorouCache) -> tuple[list[int], list[tuple[Sorou, ...]]]:
-    """(labels, pools): the subtypes of m as indices into pools, numbered in
-    first-seen order, and each distinct subtype's slot options; the last
-    pool is (f0,), the slot that no subtype fills."""
+def _slot_pools(m: MinVanType, cache: SorouCache):
+    """(labels, pools, failing): the subtypes of m as indices into pools,
+    numbered in first-seen order; each distinct subtype's slot options, the
+    last pool being (f0,), the slot that no subtype fills; and m's
+    `assembly_criterion` on those options."""
     index: dict[TypeSum, int] = {}
     labels = [index.setdefault(t, len(index)) for t in m.subtypes]
     pools = [_slot_options(t, m.f0, cache) for t in index] + [(m.f0,)]
-    return labels, pools
+    return labels, pools, assembly_criterion(m.f0, chain.from_iterable(pools[:-1]))
 
 
-def _assemblies(m: MinVanType, cache: SorouCache, anchor: bool = True):
-    """Lazily yield (slots, minimal) for every slot assembly of type m; the
-    sorou is sum_j nu_p^j slots[j], never built here, and weighs w(m), as a
-    slot f0 - v of subtype t weighs w(t) - w(f0).  Minimality is decided on
-    the slots (see minimality.assembly_criterion).  Placements permute the
-    small integer labels of `_slot_pools`."""
-    p = m.p
-    labels, pools = _slot_pools(m, cache)
-    failing = assembly_criterion(m.f0, chain.from_iterable(pools[:-1]))
+def _assemblies(p: int, labels: list[int], pools: list[tuple[Sorou, ...]], failing):
+    """Lazily yield (slots, minimal) for every slot assembly of a type m of
+    top prime p, from its `_slot_pools`; the sorou is sum_j nu_p^j
+    slots[j], never built here, and weighs w(m), as a slot f0 - v of
+    subtype t weighs w(t) - w(f0).  `failing` decides minimality on the
+    slots.  Placements permute the small integer labels of `_slot_pools`,
+    the first subtype always at slot 0: a cyclic shift of the slots, which
+    only rotates the sorou, moves any slot there."""
     empty = [len(pools) - 1] * (p - len(labels))
-    if anchor and labels:
-        placements = ((labels[0],) + rest for rest in distinct_permutations(labels[1:] + empty))
-    else:
-        placements = distinct_permutations(labels + empty)
-    for placement in placements:
-        for slots in product(*[pools[i] for i in placement]):
+    for rest in distinct_permutations(labels[1:] + empty):
+        for slots in product(*[pools[i] for i in (*labels[:1], *rest)]):
             yield slots, failing(slots) is None
 
 
-def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
+def _iter_assembled(m: MinVanType, cache: SorouCache):
     """Lazily yield (canonical form, minimal) for every slot assembly of
     type m (duplicates possible across assemblies).
 
@@ -144,12 +142,12 @@ def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
     that subgroup, and (order, power) ranks order it alike in both tables.
     """
     p = m.p
-    _, pools = _slot_pools(m, cache)
+    labels, pools, failing = _slot_pools(m, cache)
     n = math.lcm(p, *(order(x) for pool in pools for x in pool))
     step = n // p
     _, roots = _rank_table(n)
     memo: dict[tuple[int, Sorou], tuple[list[int], int]] = {}
-    for slots, minimal in _assemblies(m, cache, anchor):
+    for slots, minimal in _assemblies(p, labels, pools, failing):
         es: list[int] = []
         t = 0
         for key in enumerate(slots):
@@ -163,19 +161,22 @@ def _iter_assembled(m: MinVanType, cache: SorouCache, anchor: bool = True):
         yield tuple([roots[i] for i in least_rotation(es, n, t)]), minimal
 
 
-def sorou_of_minvan_type(
-    m: MinVanType, cache: SorouCache, anchor: bool = True
-) -> tuple[Sorou, ...]:
+def _enumerate(
+    m: MinVanType, key: str, cache: SorouCache
+) -> tuple[tuple[Sorou, ...], dict[Sorou, bool]]:
+    """Enumerate m once and put its sorted class list in the cache under
+    key, m's rendering; returns the classes and each one's verdict."""
+    verdicts = dict(_iter_assembled(m, cache))
+    classes = tuple(sorted(verdicts))
+    cache.put(key, classes)
+    return classes, verdicts
+
+
+def sorou_of_minvan_type(m: MinVanType, cache: SorouCache) -> tuple[Sorou, ...]:
     """All rotation-class representatives of sorou of minimal type m."""
-    key = render_type(TypeSum((m,)))
-    if anchor:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = tuple(sorted(dict(_iter_assembled(m, cache, anchor))))
-    if anchor:
-        cache.put(key, result)
-    return result
+    key = render_minvan(m)
+    hit = cache.get(key)
+    return hit if hit is not None else _enumerate(m, key, cache)[0]
 
 
 def has_minimal_realization(m: MinVanType, cache: SorouCache) -> bool:
@@ -191,8 +192,7 @@ def has_minimal_realization(m: MinVanType, cache: SorouCache) -> bool:
     assembly, so m has a minimal realization iff some choice passes.  The
     search stops at the first that does.
     """
-    labels, pools = _slot_pools(m, cache)
-    failing = assembly_criterion(m.f0, chain.from_iterable(pools[:-1]))
+    labels, pools, failing = _slot_pools(m, cache)
     choices = product(
         *(combinations_with_replacement(pools[i], c) for i, c in Counter(labels).items())
     )
@@ -204,18 +204,17 @@ def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
     the parities, heights, relative orders and equisigned flag of its
     minimal vanishing realizations.
 
-    Each class is the least rotation `_iter_assembled` yields, so the three
-    statistics are read off its terms (`sorou._form_statistics`): height is
-    the count of the root 1, relative order the lcm of the term orders, and
-    parity the odd/even split of the terms themselves.  All three read only
-    the term orders, so they are computed once per order profile (the
-    sorted tuple of term orders): the 12,732 minimal classes of weights 13
-    to 17 have 229 profiles.
+    Each class is the least rotation `_iter_assembled` yields, which
+    contains the root 1, sorted first, as often as any term occurs.  So its
+    height is its count of order-1 terms, its relative order the lcm of its
+    term orders (1 is a term), and its parity the odd/even split of its
+    term orders (`parity` rotates by the first term, 1).  All three are
+    functions of the order profile (the sorted tuple of term orders), so
+    `parity`, `height` and `relative_order` are called once per profile:
+    the 12,732 minimal classes of weights 13 to 17 have 229 profiles.
     """
-    key = render_type(TypeSum((m,)))
-    verdicts = dict(_iter_assembled(m, cache))
-    classes = tuple(sorted(verdicts))
-    cache.put(key, classes)
+    key = render_minvan(m)
+    classes, verdicts = _enumerate(m, key, cache)
     minimal = [s for s in classes if verdicts[s]]
     if not minimal:
         raise ValueError(f"type has no minimal realization: {key}")
@@ -223,17 +222,15 @@ def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
     for s in minimal:
         if len(s) != w:
             raise AssertionError("minimal realization with wrong weight")
-    profiles = {tuple([o for o, _ in s]): s for s in minimal}
-    parities, heights, rel_orders = map(
-        frozenset, zip(*map(_form_statistics, profiles.values()))
-    )
+    reps = {tuple([o for o, _ in s]): s for s in minimal}.values()  # one per profile
+    parities = frozenset(map(parity, reps))
     return TypeRecord(
         type=TypeSum((m,)),
         weight=w,
         top_prime=m.p,
         partition=weight_partition(m),
-        relative_orders=rel_orders,
+        relative_orders=frozenset(map(relative_order, reps)),
         parities=parities,
-        heights=heights,
+        heights=frozenset(map(height, reps)),
         equisigned=any(a == b for a, b in parities),
     )

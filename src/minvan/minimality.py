@@ -119,11 +119,11 @@ def _failing_condition(s: Sorou) -> str | None:
         return FAIL_INNER_VANISHING
     if weight(s) < prime_factors(r)[-1]:
         return FAIL_VALUE_ZERO_F0
-    dec = to_subsidiary(s)
-    f0 = dec.parts[0]
+    parts = to_subsidiary(s)
+    f0 = parts[0]
     if is_vanishing(f0):
         return FAIL_VALUE_ZERO_F0
-    return assembly_criterion(f0, dec.parts)(dec.parts)
+    return assembly_criterion(f0, parts)(parts)
 
 
 def assembly_criterion(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Iterator
@@ -300,29 +299,6 @@ def least_rotation(es: list[int], n: int, mask: int = 0) -> list[int]:
     return min(sorted([rank[e - a] for e in es]) for a in anchors)
 
 
-def _form_statistics(s: Sorou) -> tuple[tuple[int, int], int, int]:
-    """(parity, height, relative order) of a least rotation s, such as
-    `canonicalize` returns or `least_rotation` ranks, read off its terms.
-
-    A least rotation is anchored at a term of maximal multiplicity, so it
-    contains the root 1, which sorts first, as often as any term occurs:
-    its height is that count.  With 1 among the terms, the term ratios
-    generate every term, so the relative order is the lcm of the term
-    orders.  And `parity` rotates s by the inverse of its first term, which
-    is 1 here, so it counts the odd-order terms of s itself.  (Any other
-    term-anchored rotation multiplies s by a root of mu_r, r the relative
-    order; for even squarefree r that keeps or swaps the odd and even
-    counts, so the unordered pair does not depend on the anchor.)
-    Each value equals its function's on s; s must not be empty.
-    """
-    r = math.lcm(*{o for o, _ in s})
-    if not is_squarefree(r):
-        raise ValueError("parity undefined: relative order not squarefree")
-    odd = sum([o & 1 for o, _ in s])
-    w = len(s)
-    return (max(odd, w - odd), min(odd, w - odd)), s.count(ONE), r
-
-
 def canonicalize(s: Sorou) -> Sorou:
     """Lexicographic minimum over all term-anchored rotations of s.
 
@@ -339,6 +315,11 @@ def canonicalize(s: Sorou) -> Sorou:
     the terms of maximal multiplicity, narrowed at the first rank any of
     them reaches.  Ranks preserve (order, power) order, so the least sorted
     rank list is the least rotation.
+
+    The result holds the root 1, which sorts first, as often as any term
+    occurs, so `parity`, `height` and `relative_order` of a least rotation
+    depend only on its term orders: `enumeration.type_statistics` calls
+    them once per order profile.
     """
     if not s:
         raise ValueError("empty sorou")
@@ -360,21 +341,10 @@ def split_root(r: Root, p: int) -> tuple[Root, Root]:
     return (make_root(p, x), make_root(m, y))
 
 
-@dataclass(frozen=True)
-class SubsidiaryDecomposition:
-    """Slot sorou f_0..f_{p-1} of h = sum_j nu_p^j f_j at the top prime p."""
-
-    top_prime: int
-    parts: tuple[Sorou, ...]
-
-    def __post_init__(self):
-        if len(self.parts) != self.top_prime:
-            raise ValueError("subsidiary decomposition needs one part per slot")
-
-
-def to_subsidiary(s: Sorou) -> SubsidiaryDecomposition:
-    """Decompose s at its top prime, normalized so that f_0 is a nonempty
-    part of minimal weight containing the root 1.
+def to_subsidiary(s: Sorou) -> tuple[Sorou, ...]:
+    """The slots f_0..f_{p-1} of s = sum_j nu_p^j f_j at its top prime p,
+    one part per slot, normalized so that f_0 is a nonempty part of minimal
+    weight containing the root 1.
 
     On the exponents a mod r = p m of s anchored at s[0] (`_anchored`): by
     CRT, nu_r^a = nu_p^(a x) nu_m^(a y) for x = m^-1 mod p and y = p^-1
@@ -390,14 +360,14 @@ def to_subsidiary(s: Sorou) -> SubsidiaryDecomposition:
     j0 = min(slots, key=lambda j: (len(slots[j]), j))
     u = min(slots[j0], key=lambda b: make_root(m, b))
     shifted = (slots.get(j % p, ()) for j in range(j0, j0 + p))
-    parts = tuple(tuple(sorted([make_root(m, b - u) for b in tails])) for tails in shifted)
-    return SubsidiaryDecomposition(p, parts)
+    return tuple(tuple(sorted([make_root(m, b - u) for b in tails])) for tails in shifted)
 
 
-def from_subsidiary(d: SubsidiaryDecomposition) -> Sorou:
+def from_subsidiary(parts: tuple[Sorou, ...]) -> Sorou:
+    """sum_j nu_p^j parts[j], p = len(parts)."""
     out = []
-    for j, part in enumerate(d.parts):
-        z = make_root(d.top_prime, j)
+    for j, part in enumerate(parts):
+        z = make_root(len(parts), j)
         out.extend(root_mul(z, t) for t in part)
     return tuple(sorted(out))
 
@@ -420,22 +390,12 @@ def labeled_partitions(s: Sorou, m: int) -> Iterator[tuple[Sorou, ...]]:
 
 
 def distinct_permutations(items: list) -> Iterator[tuple]:
-    """Unique permutations of a multiset.
-
-    Items need only equality, not order or hashing; equal items are grouped
-    in first-seen order.  ``itertools`` has no multiset permutations, and
-    deduplicating ``permutations`` would walk all n! orderings.
+    """Unique permutations of a multiset of hashable items, equal items
+    grouped in first-seen order.  ``itertools`` has no multiset
+    permutations, and deduplicating ``permutations`` would walk all n!
+    orderings.
     """
-    pool: list = []
-    counts: list[int] = []
-    for it in items:
-        for i, existing in enumerate(pool):
-            if existing == it:
-                counts[i] += 1
-                break
-        else:
-            pool.append(it)
-            counts.append(1)
+    counts = Counter(items)
     n = len(items)
     out: list = [None] * n
 
@@ -443,11 +403,11 @@ def distinct_permutations(items: list) -> Iterator[tuple]:
         if depth == n:
             yield tuple(out)
             return
-        for i, it in enumerate(pool):
-            if counts[i]:
-                counts[i] -= 1
+        for it, c in counts.items():
+            if c:
+                counts[it] = c - 1
                 out[depth] = it
                 yield from rec(depth + 1)
-                counts[i] += 1
+                counts[it] = c
 
     return rec(0)

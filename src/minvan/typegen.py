@@ -217,12 +217,11 @@ def generate_next_weight(
     return [out[k] for k in sorted(out)]
 
 
-def types_2pq_oracle(
-    p: int, q: int, weight_cap: int, collapse: bool = True
-) -> list[MinVanType]:
+def types_2pq_oracle(p: int, q: int, weight_cap: int) -> list[MinVanType]:
     """Closed-form list of minimal types with relative order dividing 2pq:
     R_2, R_p, R_q and (R_q : sum_{i in I} nu_p^i : |J| R_p) over proper
-    nonempty I containing 0 with |I| <= (p-1)/2 and 1 <= |J| <= q-1."""
+    nonempty I containing 0 with |I| <= (p-1)/2 and 1 <= |J| <= q-1, one
+    per Galois family."""
     if not (2 < p < q):
         raise ValueError("need odd primes p < q")
     found = []
@@ -242,8 +241,6 @@ def types_2pq_oracle(
                     found.append(cand)
     out: dict = {}
     for m in found:
-        t = TypeSum((m,))
-        if collapse:
-            t = family_representative(t)
+        t = family_representative(TypeSum((m,)))
         out[sum_key(t)] = t.components[0]
     return [out[k] for k in sorted(out)]

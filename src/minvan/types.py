@@ -31,7 +31,6 @@ from minvan.sorou import (
     ONE,
     Root,
     Sorou,
-    SubsidiaryDecomposition,
     _rank_table,
     canonicalize,
     from_subsidiary,
@@ -339,7 +338,7 @@ def _minvan_representative(m: MinVanType) -> Sorou:
                 f"unrealizable assembly: {render_type(t)} cannot contain {render_sorou(m.f0)}"
             )
         slots[i] = subtract(m.f0, v)
-    return from_subsidiary(SubsidiaryDecomposition(m.p, tuple(slots)))
+    return from_subsidiary(tuple(slots))
 
 
 def representative_sorou(t: TypeSum) -> Sorou:
@@ -370,15 +369,15 @@ def _infer_minvan(s: Sorou) -> MinVanType:
     """The type `infer_type` gives s, which must be minimal vanishing.  The
     pieces recursed into are minimal by construction: each is a vanishing
     sub-multiset of least weight, so none is certified again."""
-    dec = to_subsidiary(s)
-    f0 = dec.parts[0]
+    parts = to_subsidiary(s)
+    f0 = parts[0]
     subtypes = []
-    for part in dec.parts[1:]:
+    for part in parts[1:]:
         if part == f0:
             continue
         pieces = decompose_into_minimal(_formal_difference(f0, part))
         subtypes.append(TypeSum(tuple(map(_infer_minvan, pieces))))
-    return MinVanType(dec.top_prime, f0, tuple(subtypes))
+    return MinVanType(len(parts), f0, tuple(subtypes))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ of a type, where the library compares keys; `rotations_containing_by_roots`
 rotates root tuples, where the library reads exponents off a rank table.
 `to_subsidiary_by_roots` is the subsidiary decomposition on root tuples,
 split term by term with `split_root`, where the library buckets exponents.
+`classes_over_every_placement` walks every placement of a type's subtypes
+on its slots, where the enumerator fixes the first subtype at slot 0.
 `clear_verify_memos` empties the bounded memos that `minvan verify` reads,
 for tests that time or count the work beneath them, and
 `verify_mix_texts` builds the benchmark's verify stream.
@@ -33,11 +35,13 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import product
 from pathlib import Path
 
 from minvan import minimality, types
 from minvan.arith import is_squarefree, units
 from minvan.cyclotomic import cyclotomic_poly
+from minvan.enumeration import _slot_pools
 from minvan.minimality import (
     FAIL_COMMON_SUBVALUE,
     FAIL_INNER_VANISHING,
@@ -47,8 +51,9 @@ from minvan.minimality import (
 )
 from minvan.sorou import (
     Sorou,
-    SubsidiaryDecomposition,
     canonicalize,
+    distinct_permutations,
+    from_subsidiary,
     make_root,
     order,
     proper_nonempty_subsorous,
@@ -127,7 +132,7 @@ def minimality_by_residues(s: Sorou) -> MinimalityVerdict:
         if residue(s).is_zero():
             return MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
         return MinimalityVerdict(False, False, FAIL_NOT_VANISHING)
-    parts = to_subsidiary(s).parts
+    parts = to_subsidiary(s)
     modulus = order(tuple(sorted(sum(parts, ()))))
     values = [residue(part, modulus) for part in parts]
     if any(v != values[0] for v in values[1:]):
@@ -248,7 +253,7 @@ def rotations_containing_by_roots(pool, target: Sorou):
                     yield r
 
 
-def to_subsidiary_by_roots(s: Sorou) -> SubsidiaryDecomposition:
+def to_subsidiary_by_roots(s: Sorou) -> tuple[Sorou, ...]:
     """`to_subsidiary` on root tuples: rotate s to take s[0] to 1, split
     each term by `split_root` at the top prime p into a power of nu_p (its
     slot) and a tail, shift the slots to start at the least-weight
@@ -265,9 +270,21 @@ def to_subsidiary_by_roots(s: Sorou) -> SubsidiaryDecomposition:
     j0 = min((j for j in range(p) if buckets[j]), key=lambda j: (len(buckets[j]), j))
     shifted = [buckets[(j + j0) % p] for j in range(p)]
     u = root_inv(min(shifted[0]))
-    return SubsidiaryDecomposition(
-        p, tuple(tuple(sorted(root_mul(t, u) for t in part)) for part in shifted)
-    )
+    return tuple(tuple(sorted(root_mul(t, u) for t in part)) for part in shifted)
+
+
+def classes_over_every_placement(m, cache) -> set[Sorou]:
+    """The rotation classes of type m, minimal or not, over every placement
+    of its subtypes' labels and the empty slots on all p slots, none fixed:
+    each assembly is built as a sorou and canonicalized.  Only the slot
+    pools come from the enumerator (`_slot_pools`)."""
+    labels, pools, _ = _slot_pools(m, cache)
+    empty = [len(pools) - 1] * (m.p - len(labels))
+    return {
+        canonicalize(from_subsidiary(slots))
+        for placement in distinct_permutations(labels + empty)
+        for slots in product(*[pools[i] for i in placement])
+    }
 
 
 # The bounded memos of the questions `minvan verify` asks again.

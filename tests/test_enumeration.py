@@ -1,5 +1,4 @@
 import math
-import sys
 from collections import Counter
 from itertools import chain
 
@@ -19,8 +18,6 @@ from minvan.enumeration import (
 )
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
-    SubsidiaryDecomposition,
-    _form_statistics,
     canonicalize,
     from_subsidiary,
     height,
@@ -34,7 +31,7 @@ from minvan.sorou import (
 from minvan.typegen import GenerationConfig, _candidates
 from minvan.types import minvan_weight, parse_type, render_minvan, render_type
 
-from helpers import is_subsorou
+from helpers import classes_over_every_placement, is_subsorou
 from table1_fixture import M, T, R2, R3, R5, R5_R3
 
 # One of the four weight-13 candidates that generation drops because every
@@ -114,14 +111,14 @@ def test_weight21_height2_statistics(shared_cache):
 
 
 def test_anchor_soundness(db16, shared_cache):
-    # full-permutation enumeration equals the anchored one, weight <= 10
+    # Fixing the first subtype at slot 0 loses no class: for every type of
+    # the table, the classes over every placement, walked independently of
+    # the enumerator, are the enumerated ones.
+    assert len(db16.records) == 76
     for record in db16.records:
-        if record.weight > 10:
-            continue
         m = record.type.components[0]
-        anchored = set(sorou_of_minvan_type(m, shared_cache))
-        free = set(sorou_of_minvan_type(m, SorouCache(), anchor=False))
-        assert anchored == free
+        walked = classes_over_every_placement(m, shared_cache)
+        assert set(sorou_of_minvan_type(m, shared_cache)) == walked, render_minvan(m)
 
 
 def test_cache_transparency(db16, shared_cache):
@@ -165,8 +162,8 @@ def test_slot_verdicts_match_the_criterion(db16, shared_cache):
     def failures(types):
         out = Counter()
         for m in types:
-            for slots, minimal in _assemblies(m, shared_cache):
-                s = from_subsidiary(SubsidiaryDecomposition(m.p, slots))
+            for slots, minimal in _assemblies(m.p, *_slot_pools(m, shared_cache)):
+                s = from_subsidiary(slots)
                 verdict = is_minimal_vanishing(s)
                 assert minimal == verdict.minimal, (render_minvan(m), slots)
                 out[verdict.failing_condition] += 1
@@ -189,7 +186,7 @@ def test_every_slot_option_lies_in_mu_q(db16, shared_cache):
     ]
     for m in candidates + [UNCERTIFIABLE]:
         q = math.prod(primes_below(m.p))
-        _, pools = _slot_pools(m, shared_cache)
+        _, pools, _ = _slot_pools(m, shared_cache)
         for x in chain.from_iterable(pools):
             assert q % order(x) == 0, (render_minvan(m), x)
 
@@ -206,9 +203,10 @@ def test_assembled_forms_match_canonicalize(db16, shared_cache):
     def assemblies(types):
         count = 0
         for m in types:
-            pairs = zip(_assemblies(m, shared_cache), _iter_assembled(m, shared_cache), strict=True)
+            walked = _assemblies(m.p, *_slot_pools(m, shared_cache))
+            pairs = zip(walked, _iter_assembled(m, shared_cache), strict=True)
             for (slots, minimal), (form, assembled_minimal) in pairs:
-                s = from_subsidiary(SubsidiaryDecomposition(m.p, slots))
+                s = from_subsidiary(slots)
                 assert form == canonicalize(s), (render_minvan(m), slots)
                 assert assembled_minimal == minimal
                 count += 1
@@ -258,47 +256,30 @@ def test_statistics_ask_the_criterion_about_no_class(monkeypatch, db16, shared_c
 
 
 def root_statistics(s):
-    """(parity, height, relative order) by the functions on roots, or the
-    error parity raises."""
+    """(parity, height, relative order), or the error parity raises."""
     try:
         return parity(s), height(s), relative_order(s)
     except ValueError as exc:
         return str(exc)
 
 
-def form_statistics(s):
-    try:
-        return _form_statistics(s)
-    except ValueError as exc:
-        return str(exc)
-
-
-def test_form_statistics_match_the_root_functions(types_through_17, shared_cache):
-    # Every class of every type through weight 17, minimal or not, as
-    # `_iter_assembled` yields it: the statistics read off the least
-    # rotation equal parity, height and relative order on roots.  And on
-    # the minimal classes, which `type_statistics` reads once per order
-    # profile (the tuple of term orders), they are a function of it.
+def test_minimal_statistics_are_functions_of_the_order_profile(types_through_17, shared_cache):
+    # Every minimal class of every type through weight 17, as
+    # `_iter_assembled` yields it: `type_statistics` reads parity, height
+    # and relative order once per order profile (the tuple of term orders),
+    # so on these classes they must be a function of it.
     minimal_by_weight = Counter()
     by_profile = {}
     for m in types_through_17:
         for s, minimal in dict(_iter_assembled(m, shared_cache)).items():
-            stats = form_statistics(s)
-            assert stats == root_statistics(s), (render_minvan(m), s)
             minimal_by_weight[weight(s)] += minimal
             if minimal:
+                stats = root_statistics(s)
                 assert by_profile.setdefault(tuple([o for o, _ in s]), stats) == stats
     assert sum(n for w, n in minimal_by_weight.items() if w >= 13) == 12732
     assert sum(len(profile) >= 13 for profile in by_profile) == 229
 
 
-def test_statistics_call_no_statistics_on_roots(monkeypatch, db16):
-    # With parity, height and relative order refused wherever minvan binds
-    # them, a cold cache still rebuilds every db16 record exactly.
-    for name, module in list(sys.modules.items()):
-        if name == "minvan" or name.startswith("minvan."):
-            for fn in ("parity", "height", "relative_order"):
-                if hasattr(module, fn):
-                    monkeypatch.setattr(module, fn, _refuse)
+def test_cold_cache_rebuilds_every_db16_record(db16):
     cache = SorouCache()
     assert [type_statistics(r.type.components[0], cache) for r in db16.records] == db16.records

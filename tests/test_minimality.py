@@ -329,7 +329,7 @@ def test_top_prime_30030_builds_no_phi():
     r13 = parse_sorou("+".join(["1:0"] + [f"13:{k}" for k in range(1, 13)]))
     s = tuple(sorted(r13 + rotate(r11, (210, 1))))
     assert relative_order(s) == 30030
-    parts = to_subsidiary(s).parts
+    parts = to_subsidiary(s)
     assert math.lcm(*(o for part in parts for o, _ in part)) == 2310
     before = cyclotomic_poly.cache_info()
     assert is_minimal_vanishing(s) == MinimalityVerdict(True, False, FAIL_INNER_VANISHING)
@@ -385,7 +385,7 @@ def test_packed_kernel_matches_subset_kernel_on_database(db16, shared_cache):
             r = relative_order(s)
             if r == 1 or not is_squarefree(r):
                 continue
-            parts = to_subsidiary(s).parts
+            parts = to_subsidiary(s)
             assert_kernels_agree(parts, math.lcm(*(o for part in parts for o, _ in part)))
             checked += 1
     assert checked > 1000

@@ -14,6 +14,7 @@ from minvan.sorou import (
     ONE,
     _exponent_mask,
     canonicalize,
+    distinct_permutations,
     from_subsidiary,
     height,
     labeled_partitions,
@@ -163,17 +164,15 @@ def test_split_root():
 
 
 def test_to_subsidiary_r5():
-    dec = to_subsidiary(R5)
-    assert dec.top_prime == 5
-    assert dec.parts == (((1, 0),),) * 5
+    assert to_subsidiary(R5) == (((1, 0),),) * 5
 
 
 def test_to_subsidiary_r5_r3():
-    dec = to_subsidiary(H6)
-    assert dec.top_prime == 5
-    assert sorted(map(len, dec.parts)) == [1, 1, 1, 1, 2]
-    assert dec.parts[0] == ((1, 0),)
-    assert sorou([(6, 1), (6, 5)]) in dec.parts
+    parts = to_subsidiary(H6)
+    assert len(parts) == 5
+    assert sorted(map(len, parts)) == [1, 1, 1, 1, 2]
+    assert parts[0] == ((1, 0),)
+    assert sorou([(6, 1), (6, 5)]) in parts
 
 
 # Orders whose top primes are 3, 5, 7, 11, 11 and 10007; 4620 = 4 * 1155
@@ -205,9 +204,14 @@ def test_to_subsidiary_matches_the_root_decomposition(s):
     assert _decomposed(to_subsidiary, s) == _decomposed(to_subsidiary_by_roots, s)
 
 
+def test_distinct_permutations_group_in_first_seen_order():
+    assert list(distinct_permutations([2, 0, 2])) == [(2, 2, 0), (2, 0, 2), (0, 2, 2)]
+    assert list(distinct_permutations([])) == [()]
+
+
 def test_from_subsidiary_round_trip():
-    dec = to_subsidiary(H6)
-    assert equivalent(from_subsidiary(dec), H6)
+    parts = to_subsidiary(H6)
+    assert equivalent(from_subsidiary(parts), H6)
     rp = to_subsidiary(R3)
     assert from_subsidiary(rp) == R3
 
