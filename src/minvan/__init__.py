@@ -48,7 +48,6 @@ from minvan.typegen import (
     GenerationConfig,
     candidate_f0s,
     generate_next_weight,
-    partitions_into_parts,
     types_2pq_oracle,
     typesum_pool,
 )

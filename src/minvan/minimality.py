@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from minvan.arith import is_squarefree, prime_factors
@@ -96,7 +96,6 @@ def _proper_subsorou_values(part: Sorou, modulus: int) -> tuple[bool, frozenset]
     return 0 in values, values
 
 
-@cache  # loading and generating build thousands of types on a few dozen f0s
 def _has_vanishing_subsorou(s: Sorou) -> bool:
     """Whether some nonempty sub-multiset of s, s itself included, vanishes."""
     return any(c and not v for c, v in _subsum_layers(s, order(s))[1][-1])

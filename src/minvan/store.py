@@ -30,7 +30,6 @@ CSV_HEADER = (
     "Weight,\tTop Prime,\tRelative Order,\tWeight Partition,"
     "\tType,\tHeight,\tParities,\tHasEquisigned"
 )
-_PARITY_RE = re.compile(r"^\((\d+);(\d+)\)$")
 
 
 @dataclass
@@ -78,10 +77,7 @@ def _render_parities(parities: frozenset[tuple[int, int]]) -> str:
 
 
 def _parse_parities(text: str) -> frozenset[tuple[int, int]]:
-    out = []
-    for item in re.findall(r"\(\d+;\d+\)", text):
-        m = _PARITY_RE.match(item)
-        out.append((int(m.group(1)), int(m.group(2))))
+    out = [(int(a), int(b)) for a, b in re.findall(r"\((\d+);(\d+)\)", text)]
     if not out:
         raise ValueError(f"unparseable parity list: {text!r}")
     return frozenset(out)

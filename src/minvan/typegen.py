@@ -1,16 +1,18 @@
 """Weight-by-weight generation of all minimal vanishing types.
 
-For the next weight W, every prime p <= W and every partition of W into p
-positive parts is considered.  The smallest part is the weight of f0; each
-other part x needs a subsidiary type of weight x + w(f0) drawn from sums of
-already-classified minimal types with top prime below p (or, when x = w(f0),
-the slot may simply repeat f0).  A candidate must contain at least one
-minimal subsidiary type.  Each candidate is certified on its assemblies'
-slots: an assembly's verdict reads only which slots it holds, not where
-they sit, so certification tries one slot option per subtype occurrence,
-with f0 always a slot, and never places them; it stops at the first choice
-that is minimal.  Survivors form the complete list for weight W.  Each
-subtype pool is built once per generated weight.
+For the next weight W, every prime p <= W and every f0 weight w0 with
+p * w0 <= W is considered.  Each of the other p - 1 slots either repeats
+f0 or holds a subsidiary type T of weight at least 2 * w0, drawn from sums
+of already-classified minimal types with top prime below p; a type's
+weight is p * w0 plus w(T) - 2 * w0 over its subtypes.  One multiset walk
+draws both the components of each such sum and the subtypes of each
+candidate.  A candidate with subtypes must contain at least one minimal
+subsidiary type.  Each candidate is certified on its assemblies' slots: an
+assembly's verdict reads only which slots it holds, not where they sit, so
+certification tries one slot option per subtype occurrence, with f0 always
+a slot, and never places them; it stops at the first choice that is
+minimal.  Survivors form the complete list for weight W.  Each subtype
+pool is built once per generated weight.
 
 Whether types are collapsed to one representative per Galois family (the
 classification table's y-parameter grouping) is read from the database
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations
 from typing import Iterator
 
 from minvan.arith import primes_below, primes_upto, units
@@ -42,6 +44,7 @@ from minvan.types import (
     minvan_key,
     minvan_weight,
     sum_key,
+    type_weight,
 )
 
 
@@ -52,23 +55,6 @@ class GenerationConfig:
     def __post_init__(self):
         if self.target_weight < 2:
             raise ValueError("target weight must be at least 2")
-
-
-def partitions_into_parts(n: int, k: int) -> list[tuple[int, ...]]:
-    """Nonincreasing k-tuples of positive integers summing to n."""
-    if k < 1:
-        raise ValueError("need at least one part")
-
-    def rec(n: int, k: int, cap: int):
-        if k == 0:
-            if n == 0:
-                yield ()
-            return
-        for first in range(min(n - k + 1, cap), 0, -1):
-            for rest in rec(n - first, k - 1, first):
-                yield (first,) + rest
-
-    return list(rec(n, k, n))
 
 
 def _f0_family_representative(f0: Sorou) -> Sorou:
@@ -86,7 +72,7 @@ def candidate_f0s(w: int, p: int, collapse: bool) -> list[Sorou]:
     return list(_candidate_f0s(w, p, collapse))
 
 
-@functools.cache  # generating weight 20 asks 258 times for about 20 arguments
+@functools.cache  # one weight asks once per argument; weights 2-20 ask 242 times for 26
 def _candidate_f0s(w: int, p: int, collapse: bool) -> tuple[Sorou, ...]:
     if w == 1:
         return ((ONE,),)
@@ -99,6 +85,22 @@ def _candidate_f0s(w: int, p: int, collapse: bool) -> tuple[Sorou, ...]:
     if collapse:
         out = {_f0_family_representative(f0) for f0 in out}
     return tuple(sorted(out))
+
+
+def _multisets(items: list, gains: list[int], total: int, room: int) -> Iterator[tuple]:
+    """Each multiset of at most room items whose nonnegative gains sum to
+    total, as a tuple in item order.  A zero gain still takes room."""
+
+    def rec(start: int, remaining: int, room: int) -> Iterator[tuple]:
+        if remaining == 0:
+            yield ()
+        if room:
+            for i in range(start, len(items)):
+                if gains[i] <= remaining:
+                    for rest in rec(i, remaining - gains[i], room - 1):
+                        yield (items[i],) + rest
+
+    return rec(0, total, room)
 
 
 def typesum_pool(
@@ -115,70 +117,38 @@ def typesum_pool(
         key=minvan_key,
         reverse=True,
     )
-    out: list[TypeSum] = []
-
-    def rec(start: int, remaining: int, acc: list[MinVanType]):
-        if remaining == 0:
-            if acc:
-                out.append(TypeSum(tuple(acc)))
-            return
-        if len(acc) == max_components or remaining < 2:
-            return
-        for i in range(start, len(cands)):
-            w = minvan_weight(cands[i])
-            if w <= remaining and (remaining == w or remaining - w >= 2):
-                acc.append(cands[i])
-                rec(i, remaining - w, acc)
-                acc.pop()
-
-    rec(0, total_weight, [])
-    return sorted(out, key=sum_key)
+    sums = _multisets(cands, [minvan_weight(m) for m in cands], total_weight, max_components)
+    return sorted((TypeSum(c) for c in sums if c), key=sum_key)
 
 
 def _is_pure_r2_sum(t: TypeSum) -> bool:
     return all(m.p == 2 and not m.subtypes for m in t.components)
 
 
-def _subtype_combos(parts: tuple[int, ...], p: int, pool):
-    """Candidate subtype multisets for the slot weights beyond slot 0;
-    pool(total_weight, p, max_components) lists the subtypes to draw.  A
-    nonempty multiset needs at least one minimal subtype."""
-    w0 = parts[0]
-    value_counts: dict[int, int] = {}
-    for x in parts[1:]:
-        value_counts[x] = value_counts.get(x, 0) + 1
-    per_value = []
-    for x in sorted(value_counts):
-        options: list[TypeSum | None] = list(pool(x + w0, p, w0))
-        if x == w0:
-            options.append(None)  # slot repeats f0
-        if not options:
-            return
-        per_value.append(list(combinations_with_replacement(options, value_counts[x])))
-    for chosen in product(*per_value):
-        subtypes = tuple(t for group in chosen for t in group if t is not None)
-        if subtypes and not any(t.is_minimal_claim for t in subtypes):
-            continue
-        yield subtypes
-
-
 def _candidates(db, cfg: GenerationConfig) -> Iterator[MinVanType]:
     """Every candidate type of weight cfg.target_weight, before
-    certification, Galois-collapsed if db.collapse.  Each subtype pool is
-    built once per call."""
+    certification, Galois-collapsed if db.collapse: for each head p and
+    f0 weight w0, the multisets of at most p - 1 subtypes whose weights
+    beyond 2 * w0 make up the rest of the weight.  No subtype is a sum of
+    R_2s only, and a nonempty multiset holds a minimal subtype."""
     w1 = cfg.target_weight
-
-    @functools.cache
-    def pool(total_weight: int, p: int, max_components: int) -> list[TypeSum]:
-        return [
-            t for t in typesum_pool(total_weight, p, max_components, db) if not _is_pure_r2_sum(t)
-        ]
-
     for p in primes_upto(w1):
-        for partition in partitions_into_parts(w1, p):
-            parts = tuple(sorted(partition))
-            for f0 in candidate_f0s(parts[0], p, db.collapse):
-                for subtypes in _subtype_combos(parts, p, pool):
+        for w0 in range(1, w1 // p + 1):
+            f0s = candidate_f0s(w0, p, db.collapse)
+            if not f0s:
+                continue
+            rest = w1 - p * w0
+            pool = [
+                t
+                for tw in range(2 * w0, 2 * w0 + rest + 1)
+                for t in typesum_pool(tw, p, w0, db)
+                if not _is_pure_r2_sum(t)
+            ]
+            gains = [type_weight(t) - 2 * w0 for t in pool]
+            for subtypes in _multisets(pool, gains, rest, p - 1):
+                if subtypes and not any(t.is_minimal_claim for t in subtypes):
+                    continue
+                for f0 in f0s:
                     yield MinVanType(p, f0, subtypes)
 
 

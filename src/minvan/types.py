@@ -123,10 +123,6 @@ class TypeRecord:
     equisigned: bool
 
 
-def R(p: int) -> MinVanType:
-    return MinVanType(p, (ONE,))
-
-
 @cache
 def minvan_weight(m: MinVanType) -> int:
     w0 = weight(m.f0)

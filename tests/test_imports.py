@@ -1,11 +1,14 @@
 """Every library module, test file and demo uses each name it imports, and
-every private library function or class serves the library.
+every library function or class has a user.
 
 A stdlib stand-in for a linter's unused-import rule, so that deleting code
 leaves no dead imports behind.  ``__init__.py`` is exempt: its imports are
-the package's re-exports.  The second rule keeps private names that only
-tests call out of the library: a module-level ``_name`` function or class
-must be referenced by library code outside its own definition.
+the package's re-exports.  Two more rules keep dead code out of the
+library: a module-level ``_name`` function or class must be referenced by
+library code outside its own definition, and a public one by library code
+outside its own definition or by a test, demo or benchmark script (a
+re-export does not count).  The ``cli.cmd_*`` handlers are exempt, because
+``main`` looks them up by name.
 """
 
 import ast
@@ -18,6 +21,7 @@ import minvan
 MODULES = sorted(p for p in Path(minvan.__file__).parent.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+BENCHMARK_SCRIPTS = sorted(ROOT.glob("perfbench/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,22 +43,45 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 2: lcm"]
 
 
-def unreferenced_privates(sources: dict[str, str]) -> list[str]:
-    """`module._name` for each module-level private function or class of
-    sources (module name -> text) that no other top-level statement of any
-    of them names, as a bare name or an attribute."""
+def _names(node: ast.AST, strings: bool = False) -> set[str]:
+    """The bare names and attributes node mentions; with strings, also its
+    string constants (a monkeypatch target or a tracer's name table)."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.value
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        or (strings and isinstance(n, ast.Constant) and isinstance(n.value, str))
+    }
+
+
+def unreferenced(sources: dict[str, str], scripts=()) -> list[str]:
+    """`module.name` for each module-level function or class of sources
+    (module name -> text) that no other top-level statement of any of them
+    names, as a bare name or an attribute, and no script names anywhere,
+    as a bare name, an attribute or a string."""
     defined, named = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            named.append((node, names))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            named.append((node, _names(node)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, node))
+    used = set().union(*(_names(ast.parse(source), strings=True) for source in scripts))
     return [
         f"{module}.{d.name}"
         for module, d in defined
-        if not any(d.name in names for node, names in named if node is not d)
+        if d.name not in used and not any(d.name in names for node, names in named if node is not d)
+    ]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    return [name for name in unreferenced(sources) if name.split(".")[1].startswith("_")]
+
+
+def unreferenced_publics(sources: dict[str, str], scripts: list[str]) -> list[str]:
+    return [
+        name
+        for name in unreferenced(sources, scripts)
+        if not name.split(".")[1].startswith("_") and not name.startswith("cli.cmd_")
     ]
 
 
@@ -68,9 +95,35 @@ def test_detects_a_private_only_its_own_definition_names():
     assert unreferenced_privates(sources) == ["a._loop", "a._Unused"]
 
 
+def test_detects_a_public_name_only_its_definition_or_a_re_export_names():
+    sources = {
+        "__init__": "from a import exported, tested, unused\n",
+        "a": "def unused():\n    return unused()\n"
+        "def exported():\n    pass\n"
+        "def tested():\n    pass\n"
+        "class Patched:\n    pass\n"
+        "def helper():\n    pass\n",
+        "b": "import a\n\ndef g():\n    return a.helper()\n",
+        "cli": "def cmd_run(args):\n    pass\n",
+    }
+    scripts = [
+        "from a import tested\nfrom b import g\nassert tested() is g() is None\n",
+        'def test_patch(monkeypatch):\n    monkeypatch.setattr(a, "Patched", object)\n',
+    ]
+    assert unreferenced_publics(sources, scripts) == ["a.unused", "a.exported"]
+
+
+def _library_sources() -> dict[str, str]:
+    return {p.stem: p.read_text() for p in Path(minvan.__file__).parent.glob("*.py")}
+
+
 def test_library_privates_serve_the_library():
-    sources = {p.stem: p.read_text() for p in Path(minvan.__file__).parent.glob("*.py")}
-    assert unreferenced_privates(sources) == []
+    assert unreferenced_privates(_library_sources()) == []
+
+
+def test_library_publics_have_a_user():
+    scripts = [p.read_text() for p in SCRIPTS + BENCHMARK_SCRIPTS]
+    assert unreferenced_publics(_library_sources(), scripts) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

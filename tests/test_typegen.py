@@ -7,36 +7,85 @@ import pytest
 
 from minvan.arith import primes_upto
 from minvan.enumeration import _assemblies, _slot_pools, has_minimal_realization
-from minvan.sorou import canonicalize, sorou
+from minvan.sorou import canonicalize, sorou, weight
 from minvan.store import load_db
 from minvan.typegen import (
     GenerationConfig,
     _candidates,
     candidate_f0s,
     generate_next_weight,
-    partitions_into_parts,
     types_2pq_oracle,
     typesum_pool,
 )
-from minvan.types import MinVanType, TypeSum, minvan_key, render_minvan, render_type
+from minvan.types import (
+    MinVanType,
+    TypeSum,
+    minvan_key,
+    minvan_weight,
+    render_minvan,
+    render_type,
+    type_weight,
+)
 
 
 def brute_force_partitions(n, k):
     out = set()
-    for combo in combinations_with_replacement(range(1, n + 1), k):
+    for combo in combinations_with_replacement(range(1, n - k + 2), k):
         if sum(combo) == n:
             out.add(tuple(sorted(combo, reverse=True)))
     return out
 
 
-def test_partitions_examples():
-    assert partitions_into_parts(3, 2) == [(2, 1)]
-    assert set(partitions_into_parts(6, 3)) == {(4, 1, 1), (3, 2, 1), (2, 2, 2)}
-    # the independent brute force fixes the count (11, = p(6))
-    brute = brute_force_partitions(13, 7)
-    assert set(partitions_into_parts(13, 7)) == brute
-    assert len(brute) == 11
-    assert partitions_into_parts(2, 3) == []
+def brute_force_draw(db, w, p, w0) -> Counter:
+    """Renderings of the weight-w candidates with head p and an f0 of
+    weight w0, drawn from db's types by brute force: every sum of at most
+    w0 types with top prime below p, and every multiset of fewer than p
+    such sums that gives the type weight w."""
+    below = [r.type.components[0] for r in db.records if r.type.components[0].p < p]
+    pool = [
+        TypeSum(c)
+        for k in range(1, w0 + 1)
+        for c in combinations_with_replacement(below, k)
+        if 2 * w0 <= sum(map(minvan_weight, c)) <= w - (p - 2) * w0
+        and not all(m.p == 2 and not m.subtypes for m in c)
+    ]
+    f0s = candidate_f0s(w0, p, db.collapse)
+    out = Counter()
+    for k in range(p):
+        for subtypes in combinations_with_replacement(pool, k):
+            if p * w0 + sum(type_weight(t) - 2 * w0 for t in subtypes) != w:
+                continue
+            if subtypes and not any(t.is_minimal_claim for t in subtypes):
+                continue
+            out.update(render_minvan(MinVanType(p, f0, subtypes)) for f0 in f0s)
+    return out
+
+
+def test_candidates_match_the_brute_force_draw(db16):
+    counts = []
+    for w in range(2, 18):
+        db = _truncated(db16, w - 1)
+        got = Counter(render_minvan(m) for m in _candidates(db, GenerationConfig(target_weight=w)))
+        brute = sum(
+            (brute_force_draw(db, w, p, w0) for p in primes_upto(w) for w0 in range(1, w // p + 1)),
+            Counter(),
+        )
+        assert got == brute, w
+        counts.append(sum(got.values()))
+    assert counts[-5:] == [8, 16, 20, 36, 68]  # weights 13-17
+
+
+def test_weight21_subtypes_of_weight_twice_f0_match_the_brute_force_draw(db16):
+    # At p = 7 and w(f0) = 3 every subtype has weight 6 = 2 w(f0), so none
+    # adds to the weight and only the room of 6 slots bounds them; a walk
+    # that stops once the weight is reached finds 21 of these 462.
+    got = Counter(
+        render_minvan(m)
+        for m in _candidates(db16, GenerationConfig(target_weight=21))
+        if m.p == 7 and weight(m.f0) == 3
+    )
+    assert sum(got.values()) == 462
+    assert got == brute_force_draw(db16, 21, 7, 3)
 
 
 def test_candidate_f0s_weight1():
@@ -211,7 +260,7 @@ def _dropped_candidates(db12) -> set[MinVanType]:
     w = 13
     dropped = set()
     for p in primes_upto(w):
-        for partition in partitions_into_parts(w, p):
+        for partition in brute_force_partitions(w, p):
             parts = tuple(sorted(partition))
             w0 = parts[0]
             slots = []  # as in generation, no pool holds a sum of R_2s only
