@@ -16,7 +16,7 @@ from minvan import (
     values_equal,
 )
 
-# Phi_12 = x^4 - x^2 + 1; the engine computes every Phi_n by exact division
+# Phi_12 = x^4 - x^2 + 1 = (x^12 - 1)(x^2 - 1) / ((x^6 - 1)(x^4 - 1))
 print("Phi_12 coefficients (lowest degree first):", cyclotomic_poly(12).coefficients)
 
 r5 = parse_sorou("1:0+5:1+5:2+5:3+5:4")

@@ -30,7 +30,8 @@ the tensor product over those p^a of zeta_(p^a)^i zeta_p^k, where e mod p^a
 Q(zeta_p) that the case "p divides M" peels, holding zeta_p^k in the basis
 zeta_p^1 .. zeta_p^(p-1), where zeta_p^0 is minus their sum.  Every root's
 coordinates are 0 or +-1, packed into one int (`_packed_tower_row`) to
-compare sub-sums.  Phi_n is built only for `minvan phi`.
+compare sub-sums.  Phi_n is built only for `minvan phi`, as a product of
+binomials x^d - 1 and their exact quotients (`cyclotomic_poly`).
 
 Floating point never decides: `numeric_value` is there to print values and
 to let the brute-force oracle skip sub-sums far from zero.
@@ -42,8 +43,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
-from minvan.arith import divisors, euler_phi, prime_factors
+from minvan.arith import euler_phi, prime_factors
 from minvan.sorou import SUBSET_GUARD_WEIGHT, Sorou, order, subtract
 
 
@@ -62,39 +64,29 @@ class IntPolynomial:
         return len(self.coefficients) - 1
 
 
-def _poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials; raises if a remainder is left."""
-    num = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - d)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c % lead:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // lead
-        out[i - d] = q
-        if q:
-            for j, dc in enumerate(den):
-                num[i - d + j] -= q * dc
-    if any(num[:d]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 @cache
 def cyclotomic_poly(n: int) -> IntPolynomial:
-    """Phi_n computed by exact division of x^n - 1 by all lower Phi_d."""
+    """Phi_n as the product over d | n of (x^d - 1)^mu(n/d).  Only the d
+    with n/d squarefree count: each binomial with mu = +1 is multiplied in,
+    then each with mu = -1 is divided out exactly by the recurrence
+    q_i = q_(i-d) - a_i, whose remainder must be zero."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    if n == 1:
-        return IntPolynomial((-1, 1))
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in divisors(n):
-        if d < n:
-            num = _poly_divexact(num, cyclotomic_poly(d).coefficients)
-    poly = IntPolynomial(tuple(num))
+    primes = prime_factors(n)
+    binomials: tuple[list[int], list[int]] = ([], [])  # mu(n/d) = +1, -1
+    for k in range(len(primes) + 1):
+        binomials[k % 2].extend(n // math.prod(c) for c in combinations(primes, k))
+    coeffs = [1]
+    for d in binomials[0]:
+        coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
+    for d in binomials[1]:
+        coeffs = [-c for c in coeffs]
+        for i in range(d, len(coeffs)):
+            coeffs[i] += coeffs[i - d]
+        if any(coeffs[-d:]):
+            raise ArithmeticError(f"non-exact division by x^{d} - 1")
+        del coeffs[-d:]
+    poly = IntPolynomial(tuple(coeffs))
     if poly.degree != euler_phi(n):
         raise AssertionError(f"Phi_{n} degree {poly.degree} != phi({n})")
     return poly

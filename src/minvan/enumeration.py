@@ -59,7 +59,6 @@ from minvan.types import (
     _anchored_sums,
     render_minvan,
     type_weight,
-    weight_partition,
 )
 
 
@@ -201,8 +200,8 @@ def has_minimal_realization(m: MinVanType, cache: SorouCache) -> bool:
 
 def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
     """Enumerate m once, store its class list in the cache, and aggregate
-    the parities, heights, relative orders and equisigned flag of its
-    minimal vanishing realizations.
+    the parities, heights and relative orders of its minimal vanishing
+    realizations; the record's other columns follow from m and the parities.
 
     Each class is the least rotation `_iter_assembled` yields, which
     contains the root 1, sorted first, as often as any term occurs.  So its
@@ -223,14 +222,9 @@ def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
         if len(s) != w:
             raise AssertionError("minimal realization with wrong weight")
     reps = {tuple([o for o, _ in s]): s for s in minimal}.values()  # one per profile
-    parities = frozenset(map(parity, reps))
     return TypeRecord(
         type=TypeSum((m,)),
-        weight=w,
-        top_prime=m.p,
-        partition=weight_partition(m),
         relative_orders=frozenset(map(relative_order, reps)),
-        parities=parities,
+        parities=frozenset(map(parity, reps)),
         heights=frozenset(map(height, reps)),
-        equisigned=any(a == b for a, b in parities),
     )

@@ -2,8 +2,11 @@
 and the CSV / LaTeX reports.
 
 Everything is line-oriented text: the database is the scientific result and
-must be diffable and reviewable.  Writes are atomic (temp file + rename);
-loads validate every line and the structural invariants.
+must be diffable and reviewable.  Writes are atomic (temp file + rename).
+A database row is valid iff it is what `save_db` writes for the record it
+parses to, and rows are in `sum_key` order (weight first), each type once;
+`load_db` checks both, so the weight, partition and equisigned columns,
+which follow from the type and the parities, are checked by re-rendering.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from minvan.types import (
     render_type_latex,
     sum_key,
     type_weight,
-    weight_partition,
 )
 
 DB_FORMAT = "minvan-db v1"
@@ -34,21 +36,20 @@ CSV_HEADER = (
 
 @dataclass
 class TypeDatabase:
-    """All minimal vanishing types with weight <= max_complete_weight."""
+    """All minimal vanishing types with weight <= max_complete_weight, in
+    `sum_key` order, which starts with the weight."""
 
     max_complete_weight: int = 1
     collapse: bool = True
     records: list[TypeRecord] = field(default_factory=list)
 
-    def sort(self) -> None:
-        self.records.sort(key=lambda r: (r.weight, sum_key(r.type)))
-
     def commit_weight(self, weight: int, records: list[TypeRecord]) -> None:
         if weight != self.max_complete_weight + 1:
             raise ValueError("weights must be committed in order")
-        self.records.extend(records)
+        if any(r.weight != weight for r in records):
+            raise ValueError(f"records committed at weight {weight} must have that weight")
+        self.records += sorted(records, key=lambda r: sum_key(r.type))
         self.max_complete_weight = weight
-        self.sort()
 
     def records_for_weight(self, weight: int) -> list[TypeRecord]:
         return [r for r in self.records if r.weight == weight]
@@ -68,14 +69,6 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _render_partition(partition: tuple[int, ...]) -> str:
-    return "(" + ";".join(str(x) for x in sorted(partition, reverse=True)) + ")"
-
-
-def _render_parities(parities: frozenset[tuple[int, int]]) -> str:
-    return ";".join(f"({a};{b})" for a, b in sorted(parities))
-
-
 def _parse_parities(text: str) -> frozenset[tuple[int, int]]:
     out = [(int(a), int(b)) for a, b in re.findall(r"\((\d+);(\d+)\)", text)]
     if not out:
@@ -83,19 +76,18 @@ def _parse_parities(text: str) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def _render_row(r: TypeRecord) -> str:
-    """The database line of one record, as `save_db` writes it."""
-    return "\t".join(
-        [
-            str(r.weight),
-            render_type(r.type),
-            ";".join(str(x) for x in sorted(r.relative_orders)),
-            _render_partition(r.partition),
-            _render_parities(r.parities),
-            ";".join(str(x) for x in sorted(r.heights)),
-            str(r.equisigned),
-        ]
-    )
+def _row_columns(r: TypeRecord) -> dict[str, str]:
+    """The columns of one record's database row, named, in order, as text.
+    The CSV report shares all but the rendering, which it writes in LaTeX."""
+    return {
+        "weight": str(r.weight),
+        "rendering": render_type(r.type),
+        "relative orders": ";".join(map(str, sorted(r.relative_orders))),
+        "partition": "(" + ";".join(map(str, sorted(r.partition, reverse=True))) + ")",
+        "parities": ";".join(f"({a};{b})" for a, b in sorted(r.parities)),
+        "heights": ";".join(map(str, sorted(r.heights))),
+        "equisigned": str(r.equisigned),
+    }
 
 
 def _render_header(db: TypeDatabase) -> str:
@@ -106,8 +98,7 @@ def _render_header(db: TypeDatabase) -> str:
 
 
 def save_db(db: TypeDatabase, path: str) -> None:
-    lines = [_render_header(db)]
-    lines += map(_render_row, sorted(db.records, key=lambda r: (r.weight, sum_key(r.type))))
+    lines = [_render_header(db), *("\t".join(_row_columns(r).values()) for r in db.records)]
     _atomic_write(path, ("\n".join(lines) + "\n",))
 
 
@@ -126,6 +117,7 @@ def load_db(path: str) -> TypeDatabase:
     rendered = _render_header(db)
     if header != rendered:
         raise ValueError(f"{path}:1: header is not as save_db writes it: expected {rendered!r}")
+    previous = ()  # below every sum_key
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             raise ValueError(f"{path}:{lineno}: blank line")
@@ -133,44 +125,29 @@ def load_db(path: str) -> TypeDatabase:
         if len(fields) != 7:
             raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
         try:
-            weight = int(fields[0])
-            t = parse_type(fields[1])
-            rel_orders = frozenset(int(x) for x in fields[2].split(";"))
-            partition = tuple(sorted(int(x) for x in fields[3].strip("()").split(";")))
-            parities = _parse_parities(fields[4])
-            heights = frozenset(int(x) for x in fields[5].split(";"))
-            equisigned = {"True": True, "False": False}[fields[6]]
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if not t.is_minimal_claim:
-            raise ValueError(f"{path}:{lineno}: database rows must be minimal types")
-        if type_weight(t) != weight:
-            raise ValueError(f"{path}:{lineno}: weight {weight} != type weight {type_weight(t)}")
-        expected = weight_partition(t.components[0])
-        if partition != expected:
-            raise ValueError(
-                f"{path}:{lineno}: partition {fields[3]} != type partition "
-                f"{_render_partition(expected)}"
+            record = TypeRecord(
+                type=parse_type(fields[1]),
+                relative_orders=frozenset(int(x) for x in fields[2].split(";")),
+                parities=_parse_parities(fields[4]),
+                heights=frozenset(int(x) for x in fields[5].split(";")),
             )
-        if weight > db.max_complete_weight:
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not record.type.is_minimal_claim:
+            raise ValueError(f"{path}:{lineno}: database rows must be minimal types")
+        row = _row_columns(record)
+        for (column, want), got in zip(row.items(), fields):
+            if got != want:
+                expected = "\t".join(row.values())
+                raise ValueError(f"{path}:{lineno}: {column} {got} != type {column} {want}, expected {expected!r}")
+        if record.weight > db.max_complete_weight:
             raise ValueError(f"{path}:{lineno}: record beyond max complete weight")
-        if equisigned != any(a == b for a, b in parities):
-            raise ValueError(f"{path}:{lineno}: equisigned flag contradicts parities")
-        record = TypeRecord(
-            type=t,
-            weight=weight,
-            top_prime=t.components[0].p,
-            partition=partition,
-            relative_orders=rel_orders,
-            parities=parities,
-            heights=heights,
-            equisigned=equisigned,
-        )
-        row = _render_row(record)
-        if line != row:
-            raise ValueError(f"{path}:{lineno}: row is not as save_db writes it: expected {row!r}")
+        key = sum_key(record.type)
+        if key <= previous:
+            what = "duplicate" if key == previous else "out-of-order"
+            raise ValueError(f"{path}:{lineno}: {what} row of type {fields[1]!r}")
         db.records.append(record)
-    db.sort()
+        previous = key
     return db
 
 
@@ -217,30 +194,27 @@ def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
     return out
 
 
-def _csv_rows(db: TypeDatabase) -> list[str]:
-    rows = [CSV_HEADER]
-    for r in sorted(db.records, key=lambda r: (r.weight, sum_key(r.type))):
-        rows.append(
-            ",\t".join(
-                [
-                    str(r.weight),
-                    str(r.top_prime),
-                    ";".join(str(x) for x in sorted(r.relative_orders)),
-                    _render_partition(r.partition),
-                    render_type_latex(r.type),
-                    ";".join(str(x) for x in sorted(r.heights)),
-                    _render_parities(r.parities),
-                    str(r.equisigned),
-                ]
-            )
-        )
-    return rows
-
-
 def csv_report_text(db: TypeDatabase) -> str:
     if not db.records:
         raise ValueError("no statistics to report")
-    return "\n".join(_csv_rows(db)) + "\n"
+    lines = [CSV_HEADER]
+    for r in db.records:
+        row = _row_columns(r)
+        lines.append(
+            ",\t".join(
+                [
+                    row["weight"],
+                    str(r.top_prime),
+                    row["relative orders"],
+                    row["partition"],
+                    render_type_latex(r.type),
+                    row["heights"],
+                    row["parities"],
+                    row["equisigned"],
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def write_csv_report(db: TypeDatabase, path: str) -> None:
@@ -263,13 +237,12 @@ def latex_report_text(db: TypeDatabase) -> str:
         r"\hline",
         r"\endfoot",
     ]
-    records = sorted(db.records, key=lambda r: (r.weight, sum_key(r.type)))
-    for i, r in enumerate(records):
+    for i, r in enumerate(db.records):
         partition = ",".join(str(x) for x in r.partition)
         parities = ",\\,".join(f"({a},{b})" for a, b in sorted(r.parities))
         rel = ",".join(str(x) for x in sorted(r.relative_orders))
         sep = r" \\ \hline"
-        if i + 1 < len(records) and records[i + 1].weight != r.weight:
+        if i + 1 < len(db.records) and db.records[i + 1].weight != r.weight:
             sep = r" \\ \hline\hline"
         lines.append(
             f"${r.weight}$ & ${r.top_prime}$ & ${rel}$ & $({partition})$ & "

@@ -111,16 +111,31 @@ class TypeSum:
 
 @dataclass(frozen=True)
 class TypeRecord:
-    """A classified minimal type together with its enumeration statistics."""
+    """A classified minimal type and what enumerating it measured: the
+    relative orders, parities and heights of its minimal realizations.  The
+    other columns of its table row are functions of the type or of the
+    parities, so they are properties, not fields."""
 
     type: TypeSum
-    weight: int
-    top_prime: int
-    partition: tuple[int, ...]
     relative_orders: frozenset[int]
     parities: frozenset[tuple[int, int]]
     heights: frozenset[int]
-    equisigned: bool
+
+    @property
+    def weight(self) -> int:
+        return type_weight(self.type)
+
+    @property
+    def top_prime(self) -> int:
+        return self.type.components[0].p
+
+    @property
+    def partition(self) -> tuple[int, ...]:
+        return weight_partition(self.type.components[0])
+
+    @property
+    def equisigned(self) -> bool:
+        return any(a == b for a, b in self.parities)
 
 
 @cache

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import sys
 import time
@@ -338,6 +340,23 @@ def test_verify_agrees_with_stored_statistics(db16, capsys):
         assert height(rep) in record.heights
 
 
+def test_build_through_weight_17_matches_the_benchmark_reference(tmp_path, capsys):
+    # The digests the benchmark's classify-w17 workload checks on each run.
+    fixtures = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+    reference = json.loads((fixtures / "reference.json").read_text())["classify-w17"]
+    db = tmp_path / "minvan.db"
+    assert main(["bootstrap", "--db", str(db)]) == 0
+    assert main(["extend", "--db", str(db), "--to", "17"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--format", "csv", "--db", str(db)]) == 0
+    outputs = {
+        "minvan.db": db.read_bytes(),
+        "minvan.db.cache": (tmp_path / "minvan.db.cache").read_bytes(),
+        "report.csv": capsys.readouterr().out.encode(),
+    }
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == reference
+
+
 # sha256 of the outputs of `bootstrap` then one `extend --to 21` process, and
 # of `report` on the result, as built by the code of commit 4797b72.
 WEIGHT21_DIGESTS = {
@@ -353,7 +372,6 @@ WEIGHT21_DIGESTS = {
     reason="builds through weight 21 (about 40 s); set MINVAN_ACCEPT_LONG=1",
 )
 def test_build_through_weight_21_is_byte_identical(tmp_path):
-    import hashlib
     import subprocess
 
     import minvan

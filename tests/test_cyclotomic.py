@@ -62,6 +62,16 @@ def test_product_identity_and_degree(n):
     assert cyclotomic_poly(n).degree == euler_phi(n)
 
 
+def test_phi_30030_builds_in_seconds():
+    # Six primes: 32 binomials multiplied, then 32 divided out, each step linear
+    # in the degree, with no lower Phi_d built.
+    start = time.perf_counter()
+    coeffs = cyclotomic_poly(30030).coefficients
+    assert time.perf_counter() - start < 10
+    assert len(coeffs) - 1 == euler_phi(30030) == 5760
+    assert coeffs == coeffs[::-1] and sum(coeffs) == 1  # palindromic, Phi_n(1) = 1
+
+
 def test_coefficients_unit_below_105():
     for n in range(1, 105):
         assert all(c in (-1, 0, 1) for c in cyclotomic_poly(n).coefficients)

@@ -119,6 +119,40 @@ def test_db_rejects_a_row_that_save_db_would_not_write(db16, tmp_path, tampered)
         load_db(str(path))
 
 
+@pytest.mark.parametrize(
+    "edit, lineno, what",
+    [
+        (lambda ls: [ls[0], ls[2], ls[1], *ls[3:]], 3, "out-of-order"),
+        (lambda ls: [*ls[:-2], ls[-1], ls[-2]], 77, "out-of-order"),
+        (lambda ls: [*ls, ls[-1]], 78, "duplicate"),
+    ],
+    ids=["swap-first-two-rows", "swap-last-two-rows", "repeat-last-row"],
+)
+def test_db_rejects_rows_out_of_order_or_repeated(db16, tmp_path, edit, lineno, what):
+    # save_db writes each type once, in sum_key order; a repeated row would
+    # count its type twice in the typegen pools and the reports.
+    path = tmp_path / "tampered.db"
+    save_db(db16, str(path))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 77 and lines[-2].startswith("16\t") and lines[-1].startswith("16\t")
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=rf"tampered.db:{lineno}: {what} row"):
+        load_db(str(path))
+
+
+def test_commit_weight_keeps_sum_key_order(db16):
+    db = TypeDatabase(max_complete_weight=12, records=[r for r in db16.records if r.weight <= 12])
+    db.commit_weight(13, db16.records_for_weight(13)[::-1])
+    assert db.records == [r for r in db16.records if r.weight <= 13]
+
+
+def test_commit_weight_rejects_a_record_of_another_weight(db16):
+    db = TypeDatabase(max_complete_weight=12)
+    with pytest.raises(ValueError, match="records committed at weight 13 must have that weight"):
+        db.commit_weight(13, db16.records_for_weight(14))
+    assert db.records == [] and db.max_complete_weight == 12
+
+
 def test_cache_round_trip(tmp_path, shared_cache):
     classes = sorou_of_minvan_type(R5_R3, shared_cache)
     data = {render_type(T(R5_R3)): classes}
