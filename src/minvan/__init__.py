@@ -37,7 +37,6 @@ from minvan.sorou import (
 )
 from minvan.store import (
     TypeDatabase,
-    load_cache,
     load_db,
     save_cache,
     save_db,

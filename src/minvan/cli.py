@@ -3,9 +3,10 @@
 Subcommands: bootstrap (self-generate weights 2..12 and check them against
 the embedded reference list), extend (generate further weights with
 statistics), verify (certify one sorou), enumerate (all rotation classes of
-a type), report (CSV/LaTeX), phi (cyclotomic coefficients), plot (SVG unit
-circle).  Results go to stdout; timing and progress go to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+a type; it opens no file), report (CSV/LaTeX), phi (cyclotomic
+coefficients), plot (SVG unit circle).  Results go to stdout; timing and
+progress go to stderr.  Exit codes: 0 success, 1 verification failure, 2
+usage error.
 
 Without --db, a command reads its database path from the MINVAN_DB
 environment variable when it runs (default minvan.db).  `main` can be called
@@ -85,29 +86,20 @@ def _load_db(path: str) -> store.TypeDatabase:
     return store.load_db(path)
 
 
-def _cache_path(db_path: str) -> str:
-    return db_path + ".cache"
-
-
-def _load_cache(db_path: str) -> enumeration.SorouCache:
-    path = _cache_path(db_path)
-    if os.path.exists(path):
-        return enumeration.SorouCache(store.load_cache(path))
-    return enumeration.SorouCache()
-
-
 def _extend_to(db: store.TypeDatabase, db_path: str, target: int) -> None:
     """Generate weights up to target; the database header says whether to
-    collapse Galois families."""
-    cache = _load_cache(db_path)
+    collapse Galois families.  Class lists start empty and are recomputed as
+    needed; the cache file is written before the database, so a run stopped
+    between the two writes resumes by recomputing that weight."""
+    cache = enumeration.SorouCache()
     for w in range(db.max_complete_weight + 1, target + 1):
         start = time.monotonic()
         cfg = typegen.GenerationConfig(target_weight=w)
         new_types = typegen.generate_next_weight(db, cfg, cache)
         records = [enumeration.type_statistics(m, cache) for m in new_types]
         db.commit_weight(w, records)
+        store.save_cache(cache.as_dict(), db_path + ".cache")
         store.save_db(db, db_path)
-        store.save_cache(cache.as_dict(), _cache_path(db_path))
         print(f"weight {w}: {len(new_types)} types (cumulative {len(db.records)})")
         print(f"  weight {w} took {time.monotonic() - start:.2f}s", file=sys.stderr)
 
@@ -169,11 +161,7 @@ def cmd_enumerate(args) -> int:
     t = parse_type(args.type)
     if not t.is_minimal_claim:
         raise SystemExit("error: enumeration is defined for minimal types")
-    cache = _load_cache(args.db)
-    added = cache.get(render_type(t)) is None
-    classes = enumeration.sorou_of_minvan_type(t.components[0], cache)
-    if added:
-        store.save_cache(cache.as_dict(), _cache_path(args.db))
+    classes = enumeration.sorou_of_minvan_type(t.components[0], enumeration.SorouCache())
     for s in classes:
         print(render_sorou(s))
     print(f"{len(classes)} classes", file=sys.stderr)
@@ -263,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all rotation classes of a minimal type")
     p.add_argument("type")
-    p.add_argument("--db")
 
     p = sub.add_parser("report", help="write the classification table")
     p.add_argument("--db")

@@ -29,8 +29,8 @@ its order profile, so `parity`, `height` and `relative_order` are called
 once per order profile of the type's minimal classes.
 
 Results are deduplicated by canonical form (true rotation classes) and
-memoized per rendered type; the memo can be persisted through the store
-module and is transparent to results.
+memoized per rendered type, in memory: a run recomputes any list it needs.
+The memo is transparent to results, and `store.save_cache` writes it out.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class SorouCache:
     """Memo of rotation-class lists keyed by rendered type, and of the slot
     options of each (subtype, f0) pair."""
 
-    def __init__(self, data: dict[str, tuple[Sorou, ...]] | None = None):
-        self._classes: dict[str, tuple[Sorou, ...]] = dict(data or {})
+    def __init__(self):
+        self._classes: dict[str, tuple[Sorou, ...]] = {}
         self._slots: dict[tuple[TypeSum, Sorou], tuple[Sorou, ...]] = {}
 
     def get(self, key: str) -> tuple[Sorou, ...] | None:

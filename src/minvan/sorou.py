@@ -67,10 +67,10 @@ def sorou(terms: Iterable[tuple[int, int]]) -> Sorou:
     return tuple(sorted(make_root(o, p) for o, p in terms))
 
 
-# Chunk -> root memo of `parse_sorou`, and the root -> text memo of
-# `render_sorou`: a cache file holds a few thousand distinct roots, written
-# and read millions of times.  Only parsed chunks are stored, so a bad term
-# raises (with its position) on every parse.
+# Chunk -> root memo of `parse_sorou` (the f0 of each type `load_db` parses,
+# each `verify` query), and root -> text memo of `render_sorou` (the millions
+# of terms `save_cache` writes).  Only parsed chunks are stored, so a bad
+# term raises (with its position) on every parse.
 _CHUNK_ROOTS: dict[str, Root] = {}
 
 

@@ -7,24 +7,26 @@ A database row is valid iff it is what `save_db` writes for the record it
 parses to, and rows are in `sum_key` order (weight first), each type once;
 `load_db` checks both, so the weight, partition and equisigned columns,
 which follow from the type and the parities, are checked by re-rendering.
+The sorou cache is an output only: `save_cache` merges a run's class lists
+into it, and no function reads its classes back.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import re
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from minvan.sorou import Sorou, parse_sorou, render_sorou
+from minvan.sorou import Sorou, render_sorou
 from minvan.types import (
     TypeRecord,
     parse_type,
     render_type,
     render_type_latex,
     sum_key,
-    type_weight,
 )
 
 DB_FORMAT = "minvan-db v1"
@@ -151,47 +153,34 @@ def load_db(path: str) -> TypeDatabase:
     return db
 
 
-def save_cache(classes: dict[str, tuple[Sorou, ...]], path: str) -> None:
-    """One line per type key, streamed: the cache is never held as text."""
-    _atomic_write(
-        path, (k + "\t" + ",".join(map(render_sorou, classes[k])) + "\n" for k in sorted(classes))
-    )
-
-
-def load_cache(path: str) -> dict[str, tuple[Sorou, ...]]:
-    """Class lists by type key.  `parse_sorou` parses each distinct term
-    once, so the loaded classes share one object per distinct root.
-
-    As `save_cache` writes it, each key is one minimal type as rendered, the
-    keys are distinct and sorted, and every class has the weight of its type."""
-    out: dict[str, tuple[Sorou, ...]] = {}
-    previous = ""
+def _cache_lines(path: str) -> Iterator[tuple[str, str]]:
+    """(key, line) for each line of the cache file at path, checked only as
+    far as a merge relies on it: a line holds a tab and ends with a newline,
+    and its key, the text before the tab, sorts after the previous one."""
+    previous = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            if line == "\n":
                 raise ValueError(f"{path}:{lineno}: blank line")
-            key, sep, rest = line.partition("\t")
+            key, sep, _ = line.partition("\t")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: missing tab separator")
-            try:
-                t = parse_type(key)
-                sorous = tuple(parse_sorou(s) for s in rest.split(",")) if rest else ()
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not t.is_minimal_claim:
-                raise ValueError(f"{path}:{lineno}: cache keys must be single minimal types")
-            if render_type(t) != key:
-                raise ValueError(f"{path}:{lineno}: cache key {key!r} is not rendered {render_type(t)!r}")
-            if key <= previous:
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}:{lineno}: missing newline at end of file")
+            if previous is not None and key <= previous:
                 what = "duplicate" if key == previous else "out-of-order"
                 raise ValueError(f"{path}:{lineno}: {what} cache key {key!r}")
-            w = type_weight(t)
-            if any(len(s) != w for s in sorous):
-                raise ValueError(f"{path}:{lineno}: class weight differs from type weight {w}")
-            out[key] = sorous
+            yield key, line
             previous = key
-    return out
+
+
+def save_cache(classes: dict[str, tuple[Sorou, ...]], path: str) -> None:
+    """Merge one line per key of classes, streamed, into the cache file at
+    path in key order: its other lines are copied as text, unparsed."""
+    new = ((k, k + "\t" + ",".join(map(render_sorou, classes[k])) + "\n") for k in sorted(classes))
+    old = _cache_lines(path) if os.path.exists(path) else ()
+    kept = ((k, line) for k, line in old if k not in classes)
+    _atomic_write(path, (line for _, line in heapq.merge(new, kept)))
 
 
 def csv_report_text(db: TypeDatabase) -> str:

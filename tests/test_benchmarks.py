@@ -2,8 +2,9 @@
 statistics of the weight-16 types, of the exact vanishing test on
 order-4620 sums, of the least-rotation routine on its common case (the
 weight-17 assemblies at order 210) and on its worst cases at order 34650,
-of writing and reading the weight <= 16 class cache, of one in-process
-`minvan verify` call, and of one cold verify-mix pass.  The benchmarks of
+of merging the weight <= 16 class lists into a cache file that already
+holds them, of one in-process `minvan verify` call, and of one cold
+verify-mix pass.  The benchmarks of
 `verify` and of the criterion clear its memos before each round, so that
 they time the work and not memo hits.
 
@@ -32,7 +33,7 @@ from minvan.sorou import (
     rotate,
     sorou,
 )
-from minvan.store import load_cache, save_cache
+from minvan.store import save_cache
 from minvan.types import render_type
 
 from helpers import clear_verify_memos, verify_mix_texts
@@ -180,12 +181,10 @@ def test_bench_type_statistics(benchmark, weight16_records, shared_cache):
 
 
 def test_bench_save_cache(benchmark, weight16_cache):
+    """A merge into a file that already holds every key: each line is
+    checked and dropped, and rendered again from the classes."""
     data, path, saved = weight16_cache
+    save_cache(data, path)
     run(benchmark, lambda d: save_cache(d, path), [data])
     with open(path) as fh, open(saved) as ref:
         assert fh.read() == ref.read()
-
-
-def test_bench_load_cache(benchmark, weight16_cache):
-    data, _, saved = weight16_cache
-    assert run(benchmark, load_cache, [saved]) == [data]

@@ -162,8 +162,8 @@ def test_extend_reads_collapse_from_the_database(tmp_path, capsys):
     assert db.max_complete_weight == 15
 
 
-def test_enumerate_command(db_path, capsys):
-    assert main(["enumerate", "(R5;1:0;(R3;1:0))", "--db", db_path]) == 0
+def test_enumerate_command(capsys):
+    assert main(["enumerate", "(R5;1:0;(R3;1:0))"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 1
     from minvan.sorou import parity, parse_sorou
@@ -171,28 +171,65 @@ def test_enumerate_command(db_path, capsys):
     assert all(parity(parse_sorou(line)) == (4, 2) for line in out)
 
 
-def test_enumerate_writes_the_cache_only_when_a_type_is_added(tmp_path, monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def straight_build(tmp_path_factory):
+    """The bytes of minvan.db and its .cache after `bootstrap` and then
+    `extend --to 13` and `--to 14`, by weight."""
+    db = tmp_path_factory.mktemp("straight") / "minvan.db"
+    assert main(["bootstrap", "--db", str(db)]) == 0
+    built = {}
+    for w in (13, 14):
+        assert main(["extend", "--db", str(db), "--to", str(w)]) == 0
+        built[w] = db.read_bytes(), Path(f"{db}.cache").read_bytes()
+    return built
+
+
+def test_enumerate_leaves_the_cache_alone(tmp_path, monkeypatch, capsys, straight_build):
+    # (R5;1:0;(R2;1:0)) is no table type: a cache line of its own would
+    # outlive every later build.
+    db = tmp_path / "minvan.db"
+    cache = tmp_path / "minvan.db.cache"
+    assert main(["bootstrap", "--db", str(db)]) == 0
+    before, text = os.stat(cache), cache.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate opened a file")
+
+    monkeypatch.setenv("MINVAN_DB", str(db))
+    with monkeypatch.context() as patch:
+        patch.setattr("builtins.open", refuse)
+        assert main(["enumerate", "(R5;1:0;(R2;1:0))"]) == 0
+    after = os.stat(cache)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert cache.read_bytes() == text
+    assert main(["extend", "--db", str(db), "--to", "13"]) == 0
+    assert (db.read_bytes(), cache.read_bytes()) == straight_build[13]
+    capsys.readouterr()
+
+
+class Stopped(Exception):
+    """A run stopped between two writes."""
+
+
+@pytest.mark.parametrize("write", ["save_db", "save_cache"])
+def test_extend_resumes_after_a_stop_at_either_write(tmp_path, monkeypatch, capsys, straight_build, write):
+    # The .cache is written before minvan.db: a run stopped at either write
+    # of weight 13 leaves the database at 12, and resuming recomputes 13.
     import minvan.store as store
 
-    path = str(tmp_path / "minvan.db")
-    cache_path = path + ".cache"
-    assert main(["bootstrap", "--db", path]) == 0
-    assert "(R5;1:0;(R3;1:0))" in open(cache_path).read()
-    before = os.stat(cache_path)
+    db = tmp_path / "minvan.db"
+    assert main(["bootstrap", "--db", str(db)]) == 0
 
-    def refuse(*args):
-        raise AssertionError("cache rewritten on a hit")
+    def stop(*args):
+        raise Stopped(write)
 
     with monkeypatch.context() as patch:
-        patch.setattr(store, "save_cache", refuse)
-        assert main(["enumerate", "(R5;1:0;(R3;1:0))", "--db", path]) == 0
-    after = os.stat(cache_path)
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-
-    new_type = "(R7;1:0;(R5;1:0;(R3;1:0));(R5;1:0;(R3;1:0)))"
-    assert new_type not in open(cache_path).read()
-    assert main(["enumerate", new_type, "--db", path]) == 0
-    assert new_type + "\t" in open(cache_path).read()
+        patch.setattr(store, write, stop)
+        with pytest.raises(Stopped):
+            main(["extend", "--db", str(db), "--to", "14"])
+    assert load_db(str(db)).max_complete_weight == 12
+    assert main(["extend", "--db", str(db), "--to", "14"]) == 0
+    assert (db.read_bytes(), Path(f"{db}.cache").read_bytes()) == straight_build[14]
     capsys.readouterr()
 
 
@@ -200,7 +237,7 @@ def test_enumerate_refuses_a_subtype_at_the_top_prime(db_path, capsys):
     cache_path = db_path + ".cache"
     before = os.stat(cache_path)
     text = open(cache_path).read()
-    assert main(["enumerate", "(R3;1:0;(R3;1:0))", "--db", db_path]) == 2
+    assert main(["enumerate", "(R3;1:0;(R3;1:0))"]) == 2
     assert "subtype top prime must be below p" in capsys.readouterr().err
     after = os.stat(cache_path)
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
@@ -282,12 +319,14 @@ def test_env_var_is_read_when_each_command_runs(tmp_path, monkeypatch, capsys):
         assert reports[env, None] == reports[env, env]
         assert reports[first, env] == reports[second, env]
 
+    # enumerate reads no database, whatever MINVAN_DB says, and takes no --db.
+    caches = [Path(p + ".cache").read_bytes() for p in (first, second)]
     new_type = "(R7;1:0;(R5;1:0;(R3;1:0));(R5;1:0;(R3;1:0)))"
     assert main(["enumerate", new_type]) == 0  # MINVAN_DB is second
-    assert new_type in open(second + ".cache").read()
-    assert new_type not in open(first + ".cache").read()
-    assert main(["enumerate", new_type, "--db", first]) == 0
-    assert new_type in open(first + ".cache").read()
+    assert [Path(p + ".cache").read_bytes() for p in (first, second)] == caches
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", new_type, "--db", first])
+    assert err.value.code == 2
     capsys.readouterr()
 
 
@@ -340,13 +379,16 @@ def test_verify_agrees_with_stored_statistics(db16, capsys):
         assert height(rep) in record.heights
 
 
-def test_build_through_weight_17_matches_the_benchmark_reference(tmp_path, capsys):
-    # The digests the benchmark's classify-w17 workload checks on each run.
+def _build_through_weight_17(tmp_path, capsys, extends):
+    """Check the outputs of `bootstrap` then one in-process `extend` call
+    per target weight in extends, each starting from an empty class cache,
+    against the digests the benchmark's classify-w17 workload checks."""
     fixtures = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
     reference = json.loads((fixtures / "reference.json").read_text())["classify-w17"]
     db = tmp_path / "minvan.db"
     assert main(["bootstrap", "--db", str(db)]) == 0
-    assert main(["extend", "--db", str(db), "--to", "17"]) == 0
+    for w in extends:
+        assert main(["extend", "--db", str(db), "--to", str(w)]) == 0
     capsys.readouterr()
     assert main(["report", "--format", "csv", "--db", str(db)]) == 0
     outputs = {
@@ -357,8 +399,17 @@ def test_build_through_weight_17_matches_the_benchmark_reference(tmp_path, capsy
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == reference
 
 
+def test_build_through_weight_17_matches_the_benchmark_reference(tmp_path, capsys):
+    _build_through_weight_17(tmp_path, capsys, [17])
+
+
+def test_build_through_weight_17_one_extend_per_weight_matches_the_benchmark_reference(tmp_path, capsys):
+    _build_through_weight_17(tmp_path, capsys, range(13, 18))
+
+
 # sha256 of the outputs of `bootstrap` then one `extend --to 21` process, and
-# of `report` on the result, as built by the code of commit 4797b72.
+# of `report` on the result, as built by the code of commit 4797b72.  One
+# `extend` process per weight writes the same bytes.
 WEIGHT21_DIGESTS = {
     "minvan.db": "7bc3e07e8ce9a0d1452fc656668a9f9bf383ca7795013315b7c3c89cb48564c1",
     "minvan.db.cache": "218f6b2fe2eccc5c37f9d7f444b4ed4c46a54623d829926dd86f4fb667dbea9c",
@@ -371,7 +422,8 @@ WEIGHT21_DIGESTS = {
     os.environ.get("MINVAN_ACCEPT_LONG") != "1",
     reason="builds through weight 21 (about 40 s); set MINVAN_ACCEPT_LONG=1",
 )
-def test_build_through_weight_21_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("extends", [[21], range(13, 22)], ids=["one-process", "one-process-per-weight"])
+def test_build_through_weight_21_is_byte_identical(tmp_path, extends):
     import subprocess
 
     import minvan
@@ -385,7 +437,8 @@ def test_build_through_weight_21_is_byte_identical(tmp_path):
         ).stdout
 
     minvan_cli("bootstrap")
-    minvan_cli("extend", "--to", "21")
+    for w in extends:
+        minvan_cli("extend", "--to", str(w))
     outputs = {
         "minvan.db": (tmp_path / "minvan.db").read_bytes(),
         "minvan.db.cache": (tmp_path / "minvan.db.cache").read_bytes(),

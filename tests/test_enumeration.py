@@ -229,7 +229,10 @@ def test_fallback_builds_no_sorou(monkeypatch, db16, shared_cache):
         monkeypatch.setattr(enumeration, name, _refuse)
     for record in db16.records:
         key = render_type(record.type)
-        cache = SorouCache({k: v for k, v in classes.items() if k != key})
+        cache = SorouCache()
+        for k, v in classes.items():
+            if k != key:
+                cache.put(k, v)
         assert has_minimal_realization(record.type.components[0], cache)
     assert not has_minimal_realization(UNCERTIFIABLE, shared_cache)
 

@@ -1,3 +1,4 @@
+import os
 import re
 
 import pytest
@@ -7,7 +8,6 @@ from minvan.store import (
     TypeDatabase,
     csv_report_text,
     latex_report_text,
-    load_cache,
     load_db,
     save_cache,
     save_db,
@@ -153,50 +153,59 @@ def test_commit_weight_rejects_a_record_of_another_weight(db16):
     assert db.records == [] and db.max_complete_weight == 12
 
 
-def test_cache_round_trip(tmp_path, shared_cache):
-    classes = sorou_of_minvan_type(R5_R3, shared_cache)
-    data = {render_type(T(R5_R3)): classes}
-    path = str(tmp_path / "sorou.cache")
-    save_cache(data, path)
-    assert load_cache(path) == data
+def _cache_text(data):
+    """The cache file of data as `save_cache` writes it: one line per key,
+    in key order, each class rendered term by term."""
+    return "".join(
+        k + "\t" + ",".join("+".join(f"{o}:{p}" for o, p in s) for s in data[k]) + "\n"
+        for k in sorted(data)
+    )
 
-    save_cache({}, path)
-    assert load_cache(path) == {}
+
+def test_cache_round_trip(tmp_path, shared_cache):
+    # Saving {A} and then {B} gives the bytes of saving {A, B}; a key in
+    # both takes the new line.
+    a = {render_type(T(R5_R3)): sorou_of_minvan_type(R5_R3, shared_cache)}
+    b = {render_type(T(R3)): sorou_of_minvan_type(R3, shared_cache)}
+    merged, together = tmp_path / "merged.cache", tmp_path / "together.cache"
+    save_cache(a, str(merged))
+    save_cache(b, str(merged))
+    save_cache({**a, **b}, str(together))
+    assert merged.read_bytes() == together.read_bytes() == _cache_text({**a, **b}).encode()
+
+    stale = {k: v[:0] for k, v in a.items()}
+    save_cache(stale, str(merged))
+    assert merged.read_text() == _cache_text({**stale, **b})
+    save_cache({}, str(merged))
+    assert merged.read_text() == _cache_text({**stale, **b})
 
 
 def test_cache_round_trip_of_the_database(tmp_path, db16, shared_cache):
-    # Every class list of db16, written as the text rendered term by term
-    # and read back; the loaded classes share one object per distinct root.
+    # Every class list of db16, merged one weight at a time from 16 down:
+    # the keys of weights 7 to 15 each fall between keys already written.
     data = {
         render_type(r.type): sorou_of_minvan_type(r.type.components[0], shared_cache)
         for r in db16.records
     }
     path = tmp_path / "db16.cache"
-    save_cache(data, str(path))
-    assert path.read_text() == "".join(
-        k + "\t" + ",".join("+".join(f"{o}:{p}" for o, p in s) for s in data[k]) + "\n"
-        for k in sorted(data)
-    )
-    loaded = load_cache(str(path))
-    assert loaded == data
-    terms = [t for classes in loaded.values() for s in classes for t in s]
-    assert len({id(t) for t in terms}) == len(set(terms))
+    for w in range(16, 1, -1):
+        keys = [render_type(r.type) for r in db16.records_for_weight(w)]
+        save_cache({k: data[k] for k in keys}, str(path))
+    assert path.read_text() == _cache_text(data)
 
 
 def test_cache_hit_equals_recomputation(tmp_path, shared_cache):
+    # A fresh cache recomputes the class list a saved line holds, and
+    # merging the recomputed line leaves the file's bytes as they were.
     key = render_type(T(R5_R3))
     classes = sorou_of_minvan_type(R5_R3, shared_cache)
-    path = str(tmp_path / "sorou.cache")
-    save_cache({key: classes}, path)
-    warmed = SorouCache(load_cache(path))
-    assert sorou_of_minvan_type(R5_R3, warmed) == classes
-
-
-def test_cache_bad_entry(tmp_path):
-    path = tmp_path / "bad.cache"
-    path.write_text("(R5;1:0;(R3;1:0))\tnot a sorou\n")
-    with pytest.raises(ValueError):
-        load_cache(str(path))
+    path = tmp_path / "sorou.cache"
+    save_cache({key: classes}, str(path))
+    saved = path.read_bytes()
+    fresh = SorouCache()
+    assert sorou_of_minvan_type(R5_R3, fresh) == classes
+    save_cache({key: fresh.get(key)}, str(path))
+    assert path.read_bytes() == saved
 
 
 def _corrupt_cache(tmp_path, shared_cache, edit):
@@ -210,36 +219,44 @@ def _corrupt_cache(tmp_path, shared_cache, edit):
     return str(path)
 
 
-def test_cache_rejects_a_sum_type_key(tmp_path, shared_cache):
-    sum_key = "(R3;1:0)&(R3;1:0)"
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], sum_key + ls[1][ls[1].index("\t") :]])
-    with pytest.raises(ValueError, match="corrupt.cache:2: cache keys must be single minimal types"):
-        load_cache(path)
+def _merge_into(path, message):
+    """Merge a line into the cache file at path, which refuses it with
+    message and is left as it was, with no temporary file beside it."""
+    with open(path, "rb") as fh:
+        before = fh.read()
+    with pytest.raises(ValueError, match=message):
+        save_cache({"(R2;1:0)": ()}, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(os.path.dirname(path)) == ["corrupt.cache"]
 
 
 def test_cache_rejects_a_duplicate_key(tmp_path, shared_cache):
     path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], ls[0], ls[1]])
-    with pytest.raises(ValueError, match="corrupt.cache:2: duplicate cache key"):
-        load_cache(path)
+    _merge_into(path, "corrupt.cache:2: duplicate cache key")
 
 
 def test_cache_rejects_keys_out_of_order(tmp_path, shared_cache):
     path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[1], ls[0]])
-    with pytest.raises(ValueError, match="corrupt.cache:2: out-of-order cache key"):
-        load_cache(path)
+    _merge_into(path, "corrupt.cache:2: out-of-order cache key")
 
 
 @pytest.mark.parametrize("index", [0, 1, 2], ids=["first", "between-keys", "at-end"])
 def test_cache_rejects_a_blank_line(tmp_path, shared_cache, index):
     path = _corrupt_cache(tmp_path, shared_cache, lambda ls: ls[:index] + [""] + ls[index:])
-    with pytest.raises(ValueError, match=rf"corrupt.cache:{index + 1}: blank line"):
-        load_cache(path)
+    _merge_into(path, rf"corrupt.cache:{index + 1}: blank line")
 
 
-def test_cache_rejects_a_class_of_the_wrong_weight(tmp_path, shared_cache):
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], ls[1] + ",1:0+2:1"])
-    with pytest.raises(ValueError, match="corrupt.cache:2: class weight differs from type weight 6"):
-        load_cache(path)
+def test_cache_rejects_a_line_without_a_tab(tmp_path, shared_cache):
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], ls[1].replace("\t", " ")])
+    _merge_into(path, "corrupt.cache:2: missing tab separator")
+
+
+def test_cache_rejects_a_last_line_without_a_newline(tmp_path, shared_cache):
+    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: ls)
+    with open(path, "r+") as fh:
+        fh.truncate(len(fh.read()) - 1)
+    _merge_into(path, "corrupt.cache:2: missing newline at end of file")
 
 
 def test_csv_rows(db16):
@@ -275,21 +292,3 @@ def test_reports_require_statistics(tmp_path):
 def test_every_rendered_type_reparses(db16):
     for record in db16.records:
         assert parse_type(render_type(record.type)) == record.type
-
-
-def test_cache_rejects_a_subtype_at_the_top_prime(tmp_path, shared_cache):
-    bad_key = "(R3;1:0;(R3;1:0))"
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], bad_key + "\t"])
-    with pytest.raises(ValueError, match="corrupt.cache:2: subtype top prime must be below p"):
-        load_cache(path)
-
-
-def test_cache_rejects_a_key_that_is_not_its_types_rendering(tmp_path, shared_cache):
-    # Lookups render the type, so an entry under another spelling of the
-    # same type would never be read.
-    swapped = "(R7;1:0;(R3;1:0);(R5;1:0))"
-    assert render_type(parse_type(swapped)) == "(R7;1:0;(R5;1:0);(R3;1:0))"
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [*ls, swapped + "\t"])
-    message = f"corrupt.cache:3: cache key {swapped!r} is not rendered '(R7;1:0;(R5;1:0);(R3;1:0))'"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        load_cache(path)
