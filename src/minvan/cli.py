@@ -2,11 +2,11 @@
 
 Subcommands: bootstrap (self-generate weights 2..12 and check them against
 the embedded reference list), extend (generate further weights with
-statistics), verify (certify one sorou), enumerate (all rotation classes of
-a type; it opens no file), report (CSV/LaTeX), phi (cyclotomic
-coefficients), plot (SVG unit circle).  Results go to stdout; timing and
-progress go to stderr.  Exit codes: 0 success, 1 verification failure, 2
-usage error.
+statistics, shared among the cores the process may use), verify (certify
+one sorou), enumerate (all rotation classes of a type; it opens no file),
+report (CSV/LaTeX), phi (cyclotomic coefficients), plot (SVG unit
+circle).  Results go to stdout; timing and progress go to stderr.  Exit
+codes: 0 success, 1 verification failure, 2 usage error.
 
 Without --db, a command reads its database path from the MINVAN_DB
 environment variable when it runs (default minvan.db).  `main` can be called
@@ -86,19 +86,124 @@ def _load_db(path: str) -> store.TypeDatabase:
     return store.load_db(path)
 
 
+# A weight's statistics are shared with forked workers only when its types
+# have at least this many assemblies in all (`enumeration.assembly_count`),
+# about 20 ms of work on one core.  A fork round trip costs about 1.5 ms, and
+# weights 13 and 14 (232 and 563 assemblies) ran no faster with a worker.
+FORK_MIN_ASSEMBLIES = 1000
+
+
+def _worker_statistics(types: list, cache: enumeration.SorouCache):
+    """In a forked worker: each type's `TypeRecord`, and the `.cache` line
+    of each class list the worker puts into cache."""
+    cache.take_unsaved()  # the parent's keys, which the parent saves
+    records = [enumeration.type_statistics(m, cache) for m in types]
+    return records, {k: store.cache_line(k, v) for k, v in cache.take_unsaved().items()}
+
+
+def _fork(work):
+    """Run work() in a forked child and return (pid, pipe), the pipe a
+    binary file that yields the pickled (True, result) or (False, exception),
+    or nothing if the child dies first.  The child ends with os._exit, so no
+    exit handler or stdio buffer of the parent runs in it."""
+    import pickle
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            with open(write, "wb") as fh:
+                try:
+                    result = work()
+                except BaseException as exc:  # raised again in the parent
+                    try:
+                        fh.write(pickle.dumps((False, exc)))
+                    except Exception:  # an exception class pickle cannot name
+                        fh.write(pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}"))))
+                else:
+                    pickle.dump((True, result), fh)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _statistics(types: list, cache: enumeration.SorouCache):
+    """(records, lines): each type's `TypeRecord`, and the rendered `.cache`
+    lines of the class lists put since the last save if workers ran (without
+    them, the lists stay in cache for `save_cache` to render as it writes).
+    With FORK_MIN_ASSEMBLIES assemblies in all, the types are shared among
+    min(cores, types) processes, this one and forked workers, longest first,
+    each to the least loaded process by assembly count.  A worker inherits
+    cache, with the subtypes' class lists and slot options that
+    certification put there, and returns records and lines, not class
+    lists.  `commit_weight` sorts the records and `save_cache` the lines, so
+    the output does not depend on the split.  A worker's exception is
+    raised here; every worker is killed and reaped before this returns."""
+    costs = [enumeration.assembly_count(m, cache) for m in types]
+    # os.sched_getaffinity is Linux-only; elsewhere every type runs here
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(cores, len(types))
+    if k < 2 or sum(costs) < FORK_MIN_ASSEMBLIES:
+        return [enumeration.type_statistics(m, cache) for m in types], {}
+    import pickle
+    import signal
+
+    shares = [[] for _ in range(k)]
+    loads = [0] * k
+    for i in sorted(range(len(types)), key=costs.__getitem__, reverse=True):
+        j = loads.index(min(loads))
+        shares[j].append(types[i])
+        loads[j] += costs[i]
+    workers = []
+    try:
+        for share in shares[1:]:
+            workers.append(_fork(lambda share=share: _worker_statistics(share, cache)))
+        records = [enumeration.type_statistics(m, cache) for m in shares[0]]
+        # rendered while the workers finish, not after them
+        lines = {key: store.cache_line(key, v) for key, v in cache.take_unsaved().items()}
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                outcome = pickle.load(pipe) if pipe.peek(1) else None
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if outcome is None:
+                raise RuntimeError(f"statistics worker {pid} ended with no result (exit {status})")
+            ok, result = outcome
+            if not ok:
+                raise result
+            records += result[0]
+            lines.update(result[1])
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return records, lines
+
+
 def _extend_to(db: store.TypeDatabase, db_path: str, target: int) -> None:
     """Generate weights up to target; the database header says whether to
     collapse Galois families.  Class lists start empty and are recomputed as
-    needed; the cache file is written before the database, so a run stopped
-    between the two writes resumes by recomputing that weight."""
+    needed; each one this process puts is rendered once, as the save after
+    it is put writes it.  The cache file is written before the database, so
+    a run stopped between the two writes resumes by recomputing that
+    weight."""
     cache = enumeration.SorouCache()
     for w in range(db.max_complete_weight + 1, target + 1):
         start = time.monotonic()
         cfg = typegen.GenerationConfig(target_weight=w)
         new_types = typegen.generate_next_weight(db, cfg, cache)
-        records = [enumeration.type_statistics(m, cache) for m in new_types]
+        records, lines = _statistics(new_types, cache)
         db.commit_weight(w, records)
-        store.save_cache(cache.as_dict(), db_path + ".cache")
+        store.save_cache(cache.take_unsaved(), db_path + ".cache", lines)
         store.save_db(db, db_path)
         print(f"weight {w}: {len(new_types)} types (cumulative {len(db.records)})")
         print(f"  weight {w} took {time.monotonic() - start:.2f}s", file=sys.stderr)

@@ -31,7 +31,8 @@ Q(zeta_p) that the case "p divides M" peels, holding zeta_p^k in the basis
 zeta_p^1 .. zeta_p^(p-1), where zeta_p^0 is minus their sum.  Every root's
 coordinates are 0 or +-1, packed into one int (`_packed_tower_row`) to
 compare sub-sums.  Phi_n is built only for `minvan phi`, as a product of
-binomials x^d - 1 and their exact quotients (`cyclotomic_poly`).
+binomials 1 - x^d and their inverses, cut after degree phi(n)
+(`cyclotomic_poly`).
 
 Floating point never decides: `numeric_value` is there to print values and
 to let the brute-force oracle skip sub-sums far from zero.
@@ -66,30 +67,33 @@ class IntPolynomial:
 
 @cache
 def cyclotomic_poly(n: int) -> IntPolynomial:
-    """Phi_n as the product over d | n of (x^d - 1)^mu(n/d).  Only the d
-    with n/d squarefree count: each binomial with mu = +1 is multiplied in,
-    then each with mu = -1 is divided out exactly by the recurrence
-    q_i = q_(i-d) - a_i, whose remainder must be zero."""
+    """Phi_n as the product over d | n of (x^d - 1)^mu(n/d), computed as a
+    power series cut after x^phi(n), its degree.  For n > 1 the signs
+    cancel (mu sums to 0 over the divisors of n), so Phi_n is the product
+    of (1 - x^d)^mu(n/d): each binomial with mu = +1 is multiplied in, and
+    each with mu = -1 divided out as the series 1 + x^d + x^2d + ..., in
+    any order.  Only the d with n/d squarefree count, a d above phi(n)
+    leaves the cut series as it is, and no intermediate has more than
+    phi(n) + 1 coefficients.  The result must be monic and palindromic."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
+    if n == 1:
+        return IntPolynomial((-1, 1))
     primes = prime_factors(n)
-    binomials: tuple[list[int], list[int]] = ([], [])  # mu(n/d) = +1, -1
+    phi = euler_phi(n)
+    coeffs = [1] + [0] * phi
     for k in range(len(primes) + 1):
-        binomials[k % 2].extend(n // math.prod(c) for c in combinations(primes, k))
-    coeffs = [1]
-    for d in binomials[0]:
-        coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
-    for d in binomials[1]:
-        coeffs = [-c for c in coeffs]
-        for i in range(d, len(coeffs)):
-            coeffs[i] += coeffs[i - d]
-        if any(coeffs[-d:]):
-            raise ArithmeticError(f"non-exact division by x^{d} - 1")
-        del coeffs[-d:]
-    poly = IntPolynomial(tuple(coeffs))
-    if poly.degree != euler_phi(n):
-        raise AssertionError(f"Phi_{n} degree {poly.degree} != phi({n})")
-    return poly
+        for d in (n // math.prod(c) for c in combinations(primes, k)):
+            if d > phi:
+                continue
+            if k % 2 == 0:  # mu(n/d) = +1: times 1 - x^d
+                coeffs[d:] = [a - b for a, b in zip(coeffs[d:], coeffs)]
+            else:  # mu(n/d) = -1: over 1 - x^d, q_i = a_i + q_(i-d)
+                for i in range(d, phi + 1):
+                    coeffs[i] += coeffs[i - d]
+    if coeffs[-1] != 1 or coeffs != coeffs[::-1]:
+        raise ArithmeticError(f"Phi_{n} came out neither monic nor palindromic")
+    return IntPolynomial(tuple(coeffs))
 
 
 # Width of one packed tower coordinate.  Every coordinate of a row is 0 or

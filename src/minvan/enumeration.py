@@ -30,7 +30,8 @@ once per order profile of the type's minimal classes.
 
 Results are deduplicated by canonical form (true rotation classes) and
 memoized per rendered type, in memory: a run recomputes any list it needs.
-The memo is transparent to results, and `store.save_cache` writes it out.
+The memo is transparent to results, and hands each new list over once
+(`SorouCache.take_unsaved`) for `store.save_cache` to write out.
 """
 
 from __future__ import annotations
@@ -64,20 +65,30 @@ from minvan.types import (
 
 class SorouCache:
     """Memo of rotation-class lists keyed by rendered type, and of the slot
-    options of each (subtype, f0) pair."""
+    options of each (subtype, f0) pair.  It remembers which keys were put
+    since `take_unsaved` last ran, so each list is written out once."""
 
     def __init__(self):
         self._classes: dict[str, tuple[Sorou, ...]] = {}
         self._slots: dict[tuple[TypeSum, Sorou], tuple[Sorou, ...]] = {}
+        self._unsaved: list[str] = []
 
     def get(self, key: str) -> tuple[Sorou, ...] | None:
         return self._classes.get(key)
 
     def put(self, key: str, value: tuple[Sorou, ...]) -> None:
-        self._classes.setdefault(key, value)
+        if key not in self._classes:
+            self._classes[key] = value
+            self._unsaved.append(key)
 
     def as_dict(self) -> dict[str, tuple[Sorou, ...]]:
         return dict(self._classes)
+
+    def take_unsaved(self) -> dict[str, tuple[Sorou, ...]]:
+        """The class lists put since the last call."""
+        unsaved = {k: self._classes[k] for k in self._unsaved}
+        self._unsaved.clear()
+        return unsaved
 
 
 def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[Sorou]:
@@ -111,6 +122,19 @@ def _slot_pools(m: MinVanType, cache: SorouCache):
     labels = [index.setdefault(t, len(index)) for t in m.subtypes]
     pools = [_slot_options(t, m.f0, cache) for t in index] + [(m.f0,)]
     return labels, pools, assembly_criterion(m.f0, chain.from_iterable(pools[:-1]))
+
+
+def assembly_count(m: MinVanType, cache: SorouCache) -> int:
+    """How many slot assemblies `_iter_assembled` walks for type m: the
+    distinct placements of its subtypes, the first fixed at slot 0, times
+    the product of their slot-pool sizes.  It builds the pools
+    (`_slot_options`), which certification has usually built already, and
+    no assembly."""
+    rest = Counter(m.subtypes[1:])
+    rest[None] = m.p - len(m.subtypes)  # the slots left to f0
+    counts = rest.values()
+    placements = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+    return placements * math.prod(len(_slot_options(t, m.f0, cache)) for t in m.subtypes)
 
 
 def _assemblies(p: int, labels: list[int], pools: list[tuple[Sorou, ...]], failing):

@@ -8,7 +8,8 @@ parses to, and rows are in `sum_key` order (weight first), each type once;
 `load_db` checks both, so the weight, partition and equisigned columns,
 which follow from the type and the parities, are checked by re-rendering.
 The sorou cache is an output only: `save_cache` merges a run's class lists
-into it, and no function reads its classes back.
+into it, each rendered once (`cache_line`), and no function reads its
+classes back.
 """
 
 from __future__ import annotations
@@ -174,12 +175,27 @@ def _cache_lines(path: str) -> Iterator[tuple[str, str]]:
             previous = key
 
 
-def save_cache(classes: dict[str, tuple[Sorou, ...]], path: str) -> None:
-    """Merge one line per key of classes, streamed, into the cache file at
-    path in key order: its other lines are copied as text, unparsed."""
-    new = ((k, k + "\t" + ",".join(map(render_sorou, classes[k])) + "\n") for k in sorted(classes))
+def cache_line(key: str, classes: tuple[Sorou, ...]) -> str:
+    """The cache file's line for one class list: the key, a tab, and the
+    classes, rendered, joined by commas."""
+    return key + "\t" + ",".join(map(render_sorou, classes)) + "\n"
+
+
+def save_cache(
+    classes: dict[str, tuple[Sorou, ...]], path: str, lines: dict[str, str] | None = None
+) -> None:
+    """Merge into the cache file at path, in key order, one line per key of
+    classes, rendered as it is written (`cache_line`), and the lines of
+    `lines` (key -> its `cache_line`), rendered already; a key in both
+    takes the line of classes.  The file's other lines are copied as text,
+    unparsed."""
+    lines = lines or {}
+    new = (
+        (k, cache_line(k, classes[k]) if k in classes else lines[k])
+        for k in sorted(classes.keys() | lines.keys())
+    )
     old = _cache_lines(path) if os.path.exists(path) else ()
-    kept = ((k, line) for k, line in old if k not in classes)
+    kept = ((k, line) for k, line in old if k not in classes and k not in lines)
     _atomic_write(path, (line for _, line in heapq.merge(new, kept)))
 
 

@@ -22,8 +22,10 @@ an independent oracle.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -103,22 +105,34 @@ def _multisets(items: list, gains: list[int], total: int, room: int) -> Iterator
     return rec(0, total, room)
 
 
+def _types_below(p: int, db) -> tuple[list[MinVanType], list[int]]:
+    """The classified minimal types with top prime below p, in decreasing
+    `minvan_key` order, so in decreasing weight, and their weights."""
+    below = sorted(
+        (m for m in (r.type.components[0] for r in db.records) if m.p < p),
+        key=minvan_key,
+        reverse=True,
+    )
+    return below, [minvan_weight(m) for m in below]
+
+
+def _typesum_pool(
+    below: tuple[list[MinVanType], list[int]], total_weight: int, max_components: int
+) -> list[TypeSum]:
+    """`typesum_pool`, drawn from `_types_below` of its head, which
+    generation builds once per head."""
+    types, weights = below
+    start = bisect.bisect_left(weights, -total_weight, key=operator.neg)  # skip heavier types
+    sums = _multisets(types[start:], weights[start:], total_weight, max_components)
+    return sorted((TypeSum(c) for c in sums if c), key=sum_key)
+
+
 def typesum_pool(
     total_weight: int, p: int, max_components: int, db
 ) -> list[TypeSum]:
     """All type sums of exactly total_weight built from classified minimal
     types with top prime below p, at most max_components components."""
-    cands = sorted(
-        (
-            m
-            for m in (r.type.components[0] for r in db.records)
-            if m.p < p and minvan_weight(m) <= total_weight
-        ),
-        key=minvan_key,
-        reverse=True,
-    )
-    sums = _multisets(cands, [minvan_weight(m) for m in cands], total_weight, max_components)
-    return sorted((TypeSum(c) for c in sums if c), key=sum_key)
+    return _typesum_pool(_types_below(p, db), total_weight, max_components)
 
 
 def _is_pure_r2_sum(t: TypeSum) -> bool:
@@ -133,6 +147,7 @@ def _candidates(db, cfg: GenerationConfig) -> Iterator[MinVanType]:
     R_2s only, and a nonempty multiset holds a minimal subtype."""
     w1 = cfg.target_weight
     for p in primes_upto(w1):
+        below = _types_below(p, db)
         for w0 in range(1, w1 // p + 1):
             f0s = candidate_f0s(w0, p, db.collapse)
             if not f0s:
@@ -141,7 +156,7 @@ def _candidates(db, cfg: GenerationConfig) -> Iterator[MinVanType]:
             pool = [
                 t
                 for tw in range(2 * w0, 2 * w0 + rest + 1)
-                for t in typesum_pool(tw, p, w0, db)
+                for t in _typesum_pool(below, tw, w0)
                 if not _is_pure_r2_sum(t)
             ]
             gains = [type_weight(t) - 2 * w0 for t in pool]

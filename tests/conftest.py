@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -16,6 +17,15 @@ def build_database(max_weight: int, cache: SorouCache, collapse: bool = True) ->
         db.commit_weight(w, [type_statistics(m, cache) for m in new_types])
     db.build_seconds = time.monotonic() - start
     return db
+
+
+@pytest.fixture(autouse=True)
+def at_most_two_cores(monkeypatch):
+    """`extend` forks a statistics worker per core it may use, less one; no
+    test starts more than one, whatever the machine."""
+    if hasattr(os, "sched_getaffinity"):  # elsewhere `extend` runs in-process
+        cores = set(sorted(os.sched_getaffinity(0))[:2])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,8 @@ on its slots, where the enumerator fixes the first subtype at slot 0.
 `clear_verify_memos` empties the bounded memos that `minvan verify` reads,
 for tests that time or count the work beneath them, and
 `verify_mix_texts` builds the benchmark's verify stream.
+`cyclotomic_poly_by_exact_division` is the Phi_n construction that kept
+every intermediate a polynomial, where the library cuts a power series.
 `equivalent`, `is_subsorou`, `compare_types` and `conjugate_type` are
 names only tests use.
 """
@@ -35,11 +37,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 from minvan import minimality, types
-from minvan.arith import is_squarefree, units
+from minvan.arith import is_squarefree, prime_factors, units
 from minvan.cyclotomic import cyclotomic_poly
 from minvan.enumeration import _slot_pools
 from minvan.minimality import (
@@ -70,6 +72,28 @@ from minvan.sorou import (
     top_prime,
 )
 from minvan.types import TypeSum, _map_type_roots, sum_key
+
+
+def cyclotomic_poly_by_exact_division(n: int) -> tuple[int, ...]:
+    """Phi_n's coefficients as the library once built them: every binomial
+    x^d - 1 with mu(n/d) = +1 multiplied in, then each with mu(n/d) = -1
+    divided out exactly, its remainder checked, so the intermediate degree
+    is the sum of the d with mu = +1."""
+    primes = prime_factors(n)
+    binomials: tuple[list[int], list[int]] = ([], [])  # mu(n/d) = +1, -1
+    for k in range(len(primes) + 1):
+        binomials[k % 2].extend(n // math.prod(c) for c in combinations(primes, k))
+    coeffs = [1]
+    for d in binomials[0]:
+        coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
+    for d in binomials[1]:
+        coeffs = [-c for c in coeffs]
+        for i in range(d, len(coeffs)):
+            coeffs[i] += coeffs[i - d]
+        if any(coeffs[-d:]):
+            raise ArithmeticError(f"non-exact division by x^{d} - 1")
+        del coeffs[-d:]
+    return tuple(coeffs)
 
 
 @cache

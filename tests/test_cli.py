@@ -12,6 +12,7 @@ import pytest
 from minvan.cli import BOOTSTRAP_FIXTURE, main
 from minvan.minimality import is_minimal_vanishing
 from minvan.store import load_db
+from minvan.types import TypeSum, render_type
 
 from helpers import WEIGHT21_TYPE_TEXT, clear_verify_memos
 
@@ -407,6 +408,114 @@ def test_build_through_weight_17_one_extend_per_weight_matches_the_benchmark_ref
     _build_through_weight_17(tmp_path, capsys, range(13, 18))
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-core", "two-cores"])
+def test_build_through_weight_17_on_one_and_two_cores_matches_the_benchmark_reference(
+    tmp_path, capsys, monkeypatch, cpus
+):
+    # One core runs every type's statistics here; two fork one worker at the
+    # weights with FORK_MIN_ASSEMBLIES assemblies (15, 16 and 17).
+    import minvan.cli as cli
+
+    forks = []
+    fork = cli._fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(cli, "_fork", lambda work: forks.append(work) or fork(work))
+    _build_through_weight_17(tmp_path, capsys, [17])
+    assert len(forks) == (3 if len(cpus) == 2 else 0)
+
+
+def _worker_failure(where: str):
+    """A stand-in for type_statistics that fails as `where` says: in the
+    parent's share or in the worker's, with a ValueError, an exception
+    pickle cannot name, or an exit that sends no result."""
+    import minvan.enumeration as enumeration
+
+    statistics, parent = enumeration.type_statistics, os.getpid()
+
+    class Unpicklable(Exception):
+        pass
+
+    def failing(m, cache):
+        if (os.getpid() == parent) != (where == "parent"):
+            return statistics(m, cache)
+        if where == "worker-exit":
+            os._exit(3)
+        if where == "worker-unpicklable":
+            raise Unpicklable("no class to unpickle")
+        raise ValueError(f"type has no minimal realization: {render_type(TypeSum((m,)))}")
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "where, code, message",
+    [
+        ("worker", 2, "error: type has no minimal realization: (R"),
+        ("parent", 2, "error: type has no minimal realization: (R"),
+        ("worker-unpicklable", RuntimeError, "Unpicklable: no class to unpickle"),
+        ("worker-exit", RuntimeError, "ended with no result"),
+    ],
+)
+def test_a_failure_in_the_statistics_fails_extend_and_leaves_no_process(
+    tmp_path, monkeypatch, capsys, where, code, message
+):
+    # Weight 15 forks one worker; whichever share fails, `extend` fails
+    # with the failure's message, writes neither file for weight 15, and
+    # leaves no child process behind, killed or not.
+    import minvan.enumeration as enumeration
+
+    db = tmp_path / "minvan.db"
+    cache = tmp_path / "minvan.db.cache"
+    assert main(["bootstrap", "--db", str(db)]) == 0
+    assert main(["extend", "--db", str(db), "--to", "14"]) == 0
+    before = db.read_bytes(), cache.read_bytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(enumeration, "type_statistics", _worker_failure(where))
+    if code == 2:
+        assert main(["extend", "--db", str(db), "--to", "15"]) == 2
+        assert message in capsys.readouterr().err
+    else:
+        with pytest.raises(code, match=message):
+            main(["extend", "--db", str(db), "--to", "15"])
+    assert (db.read_bytes(), cache.read_bytes()) == before
+    assert load_db(str(db)).max_complete_weight == 14
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_runs_no_exit_handler_and_flushes_no_buffer(tmp_path):
+    # A forked worker inherits the parent's atexit hooks and its unflushed
+    # stdout; it ends with os._exit, so each shows once, in the parent.
+    import subprocess
+
+    import minvan
+
+    script = "\n".join(
+        [
+            "import atexit, os, sys",
+            "import minvan.cli as cli",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "forks = []",
+            "fork = cli._fork",
+            "cli._fork = lambda work: forks.append(work) or fork(work)",
+            "atexit.register(print, 'exit handler ran')",
+            "print('buffered before the fork')",
+            "assert cli.main(['bootstrap', '--db', 'minvan.db']) == 0",
+            "assert cli.main(['extend', '--db', 'minvan.db', '--to', '15']) == 0",
+            "print('forks:', len(forks))",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(minvan.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    ).stdout
+    assert out.count("exit handler ran") == 1
+    assert out.count("buffered before the fork") == 1
+    assert out.count("weight 15: 14 types") == 1
+    assert "forks: 1" in out
+
+
 # sha256 of the outputs of `bootstrap` then one `extend --to 21` process, and
 # of `report` on the result, as built by the code of commit 4797b72.  One
 # `extend` process per weight writes the same bytes.
@@ -422,17 +531,23 @@ WEIGHT21_DIGESTS = {
     os.environ.get("MINVAN_ACCEPT_LONG") != "1",
     reason="builds through weight 21 (about 40 s); set MINVAN_ACCEPT_LONG=1",
 )
+@pytest.mark.parametrize("cores", [1, 2], ids=["one-core", "two-cores"])
 @pytest.mark.parametrize("extends", [[21], range(13, 22)], ids=["one-process", "one-process-per-weight"])
-def test_build_through_weight_21_is_byte_identical(tmp_path, extends):
+def test_build_through_weight_21_is_byte_identical(tmp_path, extends, cores):
     import subprocess
 
     import minvan
 
     env = {**os.environ, "PYTHONPATH": str(Path(minvan.__file__).resolve().parents[1])}
+    # `minvan` on that many cores as the statistics see them: at most one worker
+    script = (
+        f"import os, sys; os.sched_getaffinity = lambda pid: set(range({cores}))\n"
+        "from minvan.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
 
     def minvan_cli(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "minvan.cli", *argv, "--db", "minvan.db"],
+            [sys.executable, "-c", script, *argv, "--db", "minvan.db"],
             cwd=tmp_path, env=env, capture_output=True, check=True,
         ).stdout
 

@@ -19,7 +19,7 @@ from minvan.cyclotomic import (
 from minvan.minimality import FAIL_INNER_VANISHING, is_minimal_vanishing
 from minvan.sorou import order, parse_sorou, relative_order, sorou
 
-from helpers import _monomial_rows, residue
+from helpers import _monomial_rows, cyclotomic_poly_by_exact_division, residue
 
 
 def naive_poly_mul(a, b):
@@ -70,6 +70,14 @@ def test_phi_30030_builds_in_seconds():
     assert time.perf_counter() - start < 10
     assert len(coeffs) - 1 == euler_phi(30030) == 5760
     assert coeffs == coeffs[::-1] and sum(coeffs) == 1  # palindromic, Phi_n(1) = 1
+
+
+def test_phi_matches_the_exact_division_construction():
+    # Every n <= 3000, built afresh (not memoised), against the construction
+    # whose intermediates were polynomials of degree up to the sum of the d
+    # with mu(n/d) = +1.
+    for n in range(1, 3001):
+        assert cyclotomic_poly.__wrapped__(n).coefficients == cyclotomic_poly_by_exact_division(n), n
 
 
 def test_coefficients_unit_below_105():

@@ -11,6 +11,7 @@ from minvan.enumeration import (
     _assemblies,
     _iter_assembled,
     _slot_pools,
+    assembly_count,
     has_minimal_realization,
     sorou_of_minvan_type,
     sorou_of_typesum_anchored,
@@ -141,6 +142,29 @@ def test_enumerated_invariants(db16, shared_cache):
                 assert weight(s) == record.weight
                 assert all(is_squarefree(r) for r in record.relative_orders)
                 assert canonicalize(s) == s
+
+
+def test_assembly_count_is_the_number_of_assemblies(db16, shared_cache):
+    # The cost that shares a weight's statistics among processes is the
+    # exact number of assemblies the walk yields.
+    types = [record.type.components[0] for record in db16.records] + [UNCERTIFIABLE]
+    for m in types:
+        count = sum(1 for _ in _iter_assembled(m, shared_cache))
+        assert assembly_count(m, shared_cache) == count, render_minvan(m)
+    assert sum(assembly_count(r.type.components[0], shared_cache) for r in db16.records) == 5968
+
+
+def test_cache_hands_over_each_key_once():
+    # take_unsaved gives each key put since its last call, once, whether
+    # or not it was put twice.
+    cache = SorouCache()
+    r3 = sorou_of_minvan_type(R3, cache)
+    cache.put("(R3;1:0)", ())
+    assert cache.take_unsaved() == {"(R3;1:0)": r3}
+    assert cache.take_unsaved() == {}
+    sorou_of_minvan_type(R5_R3, cache)
+    assert list(cache.take_unsaved()) == ["(R5;1:0;(R3;1:0))"]
+    assert cache.get("(R3;1:0)") == r3
 
 
 def test_missing_realization_raises(shared_cache):

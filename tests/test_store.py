@@ -3,9 +3,10 @@ import re
 
 import pytest
 
-from minvan.enumeration import SorouCache, sorou_of_minvan_type
+from minvan.enumeration import SorouCache, sorou_of_minvan_type, type_statistics
 from minvan.store import (
     TypeDatabase,
+    cache_line,
     csv_report_text,
     latex_report_text,
     load_db,
@@ -14,6 +15,7 @@ from minvan.store import (
     write_csv_report,
     write_latex_report,
 )
+from minvan.typegen import GenerationConfig, generate_next_weight
 from minvan.types import parse_type, render_type
 
 from table1_fixture import T, R3, R5_R3
@@ -206,6 +208,37 @@ def test_cache_hit_equals_recomputation(tmp_path, shared_cache):
     assert sorou_of_minvan_type(R5_R3, fresh) == classes
     save_cache({key: fresh.get(key)}, str(path))
     assert path.read_bytes() == saved
+
+
+def test_cache_merges_rendered_lines_as_their_class_lists(tmp_path, shared_cache):
+    # A line rendered elsewhere (by a statistics worker) merges as the class
+    # list it renders, and a key given both ways takes the class list's line.
+    a = {render_type(T(R5_R3)): sorou_of_minvan_type(R5_R3, shared_cache)}
+    b = {render_type(T(R3)): sorou_of_minvan_type(R3, shared_cache)}
+    path = tmp_path / "sorou.cache"
+    save_cache(a, str(path), {k: cache_line(k, v) for k, v in b.items()})
+    assert path.read_text() == _cache_text({**a, **b})
+    stale = {k: cache_line(k, v[:0]) for k, v in {**a, **b}.items()}
+    save_cache(b, str(path), stale)
+    assert path.read_text() == _cache_text({**a, **b, **{k: v[:0] for k, v in a.items()}})
+
+
+def test_cache_rendered_once_equals_rendered_at_every_save(tmp_path):
+    # A build that renders each class list once, at the save after it is
+    # put, writes at every weight the bytes of one that renders every list
+    # the run holds at every save.
+    once, every = tmp_path / "once.cache", tmp_path / "every.cache"
+    db, cache = TypeDatabase(), SorouCache()
+    rendered = []
+    for w in range(2, 15):
+        types = generate_next_weight(db, GenerationConfig(target_weight=w), cache)
+        db.commit_weight(w, [type_statistics(m, cache) for m in types])
+        unsaved = cache.take_unsaved()
+        rendered += unsaved
+        save_cache(unsaved, str(once))
+        save_cache(cache.as_dict(), str(every))
+        assert once.read_bytes() == every.read_bytes()
+    assert len(rendered) == len(set(rendered)) == len(cache.as_dict()) == 39
 
 
 def _corrupt_cache(tmp_path, shared_cache, edit):

@@ -183,29 +183,38 @@ def test_certification_shares_the_statistics_cache(monkeypatch):
 
 
 def test_pools_and_slot_options_built_once(monkeypatch, db16):
-    # One weight's generation builds each subtype pool once, and one cache
-    # builds each (subtype, f0) slot-option list once.
+    # One weight's generation sorts the types below each head once and
+    # builds each subtype pool once, and one cache builds each (subtype, f0)
+    # slot-option list once.
     import minvan.enumeration as enumeration
     import minvan.typegen as typegen
     from minvan.enumeration import SorouCache
 
-    pool_keys, slot_keys = [], []
-    pool, anchored = typegen.typesum_pool, enumeration.sorou_of_typesum_anchored
+    head_keys, pool_keys, slot_keys = [], [], []
+    below, pool = typegen._types_below, typegen._typesum_pool
+    anchored = enumeration.sorou_of_typesum_anchored
 
-    def counted_pool(total_weight, p, max_components, db):
-        pool_keys.append((total_weight, p, max_components))
-        return pool(total_weight, p, max_components, db)
+    def counted_below(p, db):
+        head_keys.append(p)
+        return below(p, db)
+
+    def counted_pool(types_below, total_weight, max_components):
+        # the types below distinct heads are distinct lists
+        pool_keys.append((len(types_below[0]), total_weight, max_components))
+        return pool(types_below, total_weight, max_components)
 
     def counted_anchored(t, f0, cache):
         slot_keys.append((t, f0))
         return anchored(t, f0, cache)
 
-    monkeypatch.setattr(typegen, "typesum_pool", counted_pool)
+    monkeypatch.setattr(typegen, "_types_below", counted_below)
+    monkeypatch.setattr(typegen, "_typesum_pool", counted_pool)
     monkeypatch.setattr(enumeration, "sorou_of_typesum_anchored", counted_anchored)
     found = generate_next_weight(_truncated(db16, 15), GenerationConfig(target_weight=16), SorouCache())
     assert [render_type(TypeSum((m,))) for m in found] == [
         render_type(r.type) for r in db16.records_for_weight(16)
     ]
+    assert head_keys and len(head_keys) == len(set(head_keys))
     assert pool_keys and len(pool_keys) == len(set(pool_keys))
     assert slot_keys and len(slot_keys) == len(set(slot_keys))
 
