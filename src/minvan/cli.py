@@ -17,6 +17,7 @@ call.
 from __future__ import annotations
 
 import argparse
+import heapq
 import math
 import os
 import sys
@@ -37,7 +38,7 @@ from minvan.sorou import (
     render_sorou,
     weight,
 )
-from minvan.types import TypeSum, _infer_minvan, parse_type, render_type, render_type_latex
+from minvan.types import TypeSum, _infer_minvan, parse_type, render_minvan, render_type, render_type_latex
 
 # Reference classification for weights 2..12, checked after bootstrap.
 BOOTSTRAP_FIXTURE: dict[int, frozenset[str]] = {
@@ -75,6 +76,9 @@ BOOTSTRAP_FIXTURE: dict[int, frozenset[str]] = {
 # Base radius of a plot; the k-th copy of a term is drawn at radius k * PLOT_RADIUS.
 PLOT_RADIUS = 120.0
 
+# The largest n `phi` accepts: Phi_n holds phi(n) + 1 coefficients.
+PHI_MAX_N = 10**6
+
 
 def _default_db_path() -> str:
     return os.environ.get("MINVAN_DB", "minvan.db")
@@ -93,12 +97,16 @@ def _load_db(path: str) -> store.TypeDatabase:
 FORK_MIN_ASSEMBLIES = 1000
 
 
+def _lines(keys, cache: enumeration.SorouCache):
+    """(key, `cache_line`) of each key's class list, lazily, in keys' order."""
+    return ((k, store.cache_line(k, cache.get(k))) for k in keys)
+
+
 def _worker_statistics(types: list, cache: enumeration.SorouCache):
-    """In a forked worker: each type's `TypeRecord`, and the `.cache` line
-    of each class list the worker puts into cache."""
-    cache.take_unsaved()  # the parent's keys, which the parent saves
+    """In a forked worker: each type's `TypeRecord`, and their `_lines` in
+    key order, rendered longest type first, which keeps the peak least."""
     records = [enumeration.type_statistics(m, cache) for m in types]
-    return records, {k: store.cache_line(k, v) for k, v in cache.take_unsaved().items()}
+    return records, sorted(_lines(map(render_minvan, types), cache))
 
 
 def _fork(work):
@@ -135,25 +143,22 @@ def _fork(work):
 
 
 def _statistics(types: list, cache: enumeration.SorouCache):
-    """(records, lines): each type's `TypeRecord`, and the rendered `.cache`
-    lines of the class lists put since the last save if workers ran (without
-    them, the lists stay in cache for `save_cache` to render as it writes).
-    With FORK_MIN_ASSEMBLIES assemblies in all, the types are shared among
-    min(cores, types) processes, this one and forked workers, longest first,
-    each to the least loaded process by assembly count.  A worker inherits
-    cache, with the subtypes' class lists and slot options that
-    certification put there, and returns records and lines, not class
-    lists.  `commit_weight` sorts the records and `save_cache` the lines, so
-    the output does not depend on the split.  A worker's exception is
-    raised here; every worker is killed and reaped before this returns."""
+    """(records, lines): each type's `TypeRecord`, and a stream of the
+    lines of their class lists in key order.  With FORK_MIN_ASSEMBLIES
+    assemblies in all, they are shared among min(cores, types) processes,
+    this one and forked workers, longest first, each to the least loaded
+    process by assembly count.  A worker inherits cache, with the class
+    lists and slot options certification put there, and returns records
+    and rendered lines; records are sorted on commit and lines merge in key
+    order, so the output does not depend on the split.  A worker's
+    exception is raised here; every worker is killed and reaped first."""
     costs = [enumeration.assembly_count(m, cache) for m in types]
     # os.sched_getaffinity is Linux-only; elsewhere every type runs here
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(cores, len(types))
-    if k < 2 or sum(costs) < FORK_MIN_ASSEMBLIES:
-        return [enumeration.type_statistics(m, cache) for m in types], {}
-    import pickle
-    import signal
+    k = min(cores, len(types)) if sum(costs) >= FORK_MIN_ASSEMBLIES else 1
+    if k > 1:  # a run that never forks never loads these
+        import pickle
+        import signal
 
     shares = [[] for _ in range(k)]
     loads = [0] * k
@@ -166,8 +171,8 @@ def _statistics(types: list, cache: enumeration.SorouCache):
         for share in shares[1:]:
             workers.append(_fork(lambda share=share: _worker_statistics(share, cache)))
         records = [enumeration.type_statistics(m, cache) for m in shares[0]]
-        # rendered while the workers finish, not after them
-        lines = {key: store.cache_line(key, v) for key, v in cache.take_unsaved().items()}
+        lines = _lines(sorted(map(render_minvan, shares[0])), cache)
+        streams = [list(lines) if workers else lines]  # rendered while workers run, else as written
         while workers:
             pid, pipe = workers[0]
             with pipe:
@@ -180,22 +185,22 @@ def _statistics(types: list, cache: enumeration.SorouCache):
             if not ok:
                 raise result
             records += result[0]
-            lines.update(result[1])
+            streams.append(result[1])
     finally:
         for pid, pipe in workers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return records, lines
+    return records, heapq.merge(*streams)
 
 
 def _extend_to(db: store.TypeDatabase, db_path: str, target: int) -> None:
     """Generate weights up to target; the database header says whether to
     collapse Galois families.  Class lists start empty and are recomputed as
-    needed; each one this process puts is rendered once, as the save after
-    it is put writes it.  The cache file is written before the database, so
-    a run stopped between the two writes resumes by recomputing that
-    weight."""
+    needed; each weight writes the lines of its own types' class lists, each
+    rendered once, and the cache file keeps the lines of the database's
+    types.  The cache file is written before the database, so a run stopped
+    between the two writes resumes by recomputing that weight."""
     cache = enumeration.SorouCache()
     for w in range(db.max_complete_weight + 1, target + 1):
         start = time.monotonic()
@@ -203,7 +208,7 @@ def _extend_to(db: store.TypeDatabase, db_path: str, target: int) -> None:
         new_types = typegen.generate_next_weight(db, cfg, cache)
         records, lines = _statistics(new_types, cache)
         db.commit_weight(w, records)
-        store.save_cache(cache.take_unsaved(), db_path + ".cache", lines)
+        store.save_cache(db, lines, db_path + ".cache")
         store.save_db(db, db_path)
         print(f"weight {w}: {len(new_types)} types (cumulative {len(db.records)})")
         print(f"  weight {w} took {time.monotonic() - start:.2f}s", file=sys.stderr)
@@ -284,6 +289,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_phi(args) -> int:
+    if args.n > PHI_MAX_N:
+        raise ValueError(f"phi accepts n up to {PHI_MAX_N:,}, got {args.n:,}")
     poly = cyclotomic_poly(args.n)
     print(", ".join(str(c) for c in poly.coefficients))
     for degree, c in enumerate(poly.coefficients):

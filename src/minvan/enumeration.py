@@ -30,8 +30,9 @@ once per order profile of the type's minimal classes.
 
 Results are deduplicated by canonical form (true rotation classes) and
 memoized per rendered type, in memory: a run recomputes any list it needs.
-The memo is transparent to results, and hands each new list over once
-(`SorouCache.take_unsaved`) for `store.save_cache` to write out.
+The memo is transparent to results.  `type_statistics` puts the list of
+the type it records, which is the list `store.save_cache` writes out for
+that type; the lower lists certification puts are already in the file.
 """
 
 from __future__ import annotations
@@ -65,30 +66,20 @@ from minvan.types import (
 
 class SorouCache:
     """Memo of rotation-class lists keyed by rendered type, and of the slot
-    options of each (subtype, f0) pair.  It remembers which keys were put
-    since `take_unsaved` last ran, so each list is written out once."""
+    options of each (subtype, f0) pair."""
 
     def __init__(self):
         self._classes: dict[str, tuple[Sorou, ...]] = {}
         self._slots: dict[tuple[TypeSum, Sorou], tuple[Sorou, ...]] = {}
-        self._unsaved: list[str] = []
 
     def get(self, key: str) -> tuple[Sorou, ...] | None:
         return self._classes.get(key)
 
     def put(self, key: str, value: tuple[Sorou, ...]) -> None:
-        if key not in self._classes:
-            self._classes[key] = value
-            self._unsaved.append(key)
+        self._classes.setdefault(key, value)
 
     def as_dict(self) -> dict[str, tuple[Sorou, ...]]:
         return dict(self._classes)
-
-    def take_unsaved(self) -> dict[str, tuple[Sorou, ...]]:
-        """The class lists put since the last call."""
-        unsaved = {k: self._classes[k] for k in self._unsaved}
-        self._unsaved.clear()
-        return unsaved
 
 
 def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[Sorou]:

@@ -7,9 +7,9 @@ A database row is valid iff it is what `save_db` writes for the record it
 parses to, and rows are in `sum_key` order (weight first), each type once;
 `load_db` checks both, so the weight, partition and equisigned columns,
 which follow from the type and the parities, are checked by re-rendering.
-The sorou cache is an output only: `save_cache` merges a run's class lists
-into it, each rendered once (`cache_line`), and no function reads its
-classes back.
+The sorou cache is an output only: `save_cache` merges each weight's class
+lists into it, each rendered once (`cache_line`), keeps only the lines of
+database types, and no function reads its classes back.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from minvan.sorou import Sorou, render_sorou
@@ -181,22 +183,18 @@ def cache_line(key: str, classes: tuple[Sorou, ...]) -> str:
     return key + "\t" + ",".join(map(render_sorou, classes)) + "\n"
 
 
-def save_cache(
-    classes: dict[str, tuple[Sorou, ...]], path: str, lines: dict[str, str] | None = None
-) -> None:
-    """Merge into the cache file at path, in key order, one line per key of
-    classes, rendered as it is written (`cache_line`), and the lines of
-    `lines` (key -> its `cache_line`), rendered already; a key in both
-    takes the line of classes.  The file's other lines are copied as text,
-    unparsed."""
-    lines = lines or {}
-    new = (
-        (k, cache_line(k, classes[k]) if k in classes else lines[k])
-        for k in sorted(classes.keys() | lines.keys())
-    )
+def save_cache(db: TypeDatabase, lines: Iterable[tuple[str, str]], path: str) -> None:
+    """Write db's cache file at path: lines, (key, `cache_line`) pairs in
+    key order, merged with the file's lines whose key renders a type of db,
+    copied as text, unparsed; a key in both takes the new line.  A line of
+    a type outside db is dropped, so the file's keys are types of db."""
+    keep = {render_type(r.type) for r in db.records}
     old = _cache_lines(path) if os.path.exists(path) else ()
-    kept = ((k, line) for k, line in old if k not in classes and k not in lines)
-    _atomic_write(path, (line for _, line in heapq.merge(new, kept)))
+    # tagged 0 and 1, a key's new line sorts first, and groupby keeps it
+    merged = heapq.merge(
+        ((k, 0, line) for k, line in lines), ((k, 1, line) for k, line in old if k in keep)
+    )
+    _atomic_write(path, (next(group)[2] for _, group in groupby(merged, key=itemgetter(0))))
 
 
 def csv_report_text(db: TypeDatabase) -> str:

@@ -33,7 +33,7 @@ from minvan.sorou import (
     rotate,
     sorou,
 )
-from minvan.store import save_cache
+from minvan.store import cache_line, save_cache
 from minvan.types import render_type
 
 from helpers import clear_verify_memos, verify_mix_texts
@@ -108,8 +108,13 @@ def weight16_cache(db16, shared_cache, tmp_path_factory):
     }
     directory = tmp_path_factory.mktemp("cache")
     saved = str(directory / "saved.cache")
-    save_cache(data, saved)
+    save_cache(db16, _cache_lines(data), saved)
     return data, str(directory / "scratch.cache"), saved
+
+
+def _cache_lines(data):
+    """The (key, line) stream of data's class lists, rendered as it is read."""
+    return ((k, cache_line(k, data[k])) for k in sorted(data))
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +185,11 @@ def test_bench_type_statistics(benchmark, weight16_records, shared_cache):
     assert run(benchmark, lambda m: type_statistics(m, shared_cache), types) == weight16_records
 
 
-def test_bench_save_cache(benchmark, weight16_cache):
+def test_bench_save_cache(benchmark, db16, weight16_cache):
     """A merge into a file that already holds every key: each line is
     checked and dropped, and rendered again from the classes."""
     data, path, saved = weight16_cache
-    save_cache(data, path)
-    run(benchmark, lambda d: save_cache(d, path), [data])
+    save_cache(db16, _cache_lines(data), path)
+    run(benchmark, lambda d: save_cache(db16, _cache_lines(d), path), [data])
     with open(path) as fh, open(saved) as ref:
         assert fh.read() == ref.read()

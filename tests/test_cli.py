@@ -208,6 +208,26 @@ def test_enumerate_leaves_the_cache_alone(tmp_path, monkeypatch, capsys, straigh
     capsys.readouterr()
 
 
+def test_extend_drops_a_cache_line_of_no_table_type(tmp_path, capsys, straight_build):
+    # (R5;1:0;(R2;1:0)) is no table type: a line of its own, put into
+    # .cache at its key's place, is gone after the next extend.
+    from minvan.enumeration import SorouCache, sorou_of_minvan_type
+    from minvan.store import cache_line
+    from minvan.types import parse_type
+
+    db = tmp_path / "minvan.db"
+    cache = tmp_path / "minvan.db.cache"
+    assert main(["bootstrap", "--db", str(db)]) == 0
+    key = "(R5;1:0;(R2;1:0))"
+    foreign = cache_line(key, sorou_of_minvan_type(parse_type(key).components[0], SorouCache()))
+    lines = cache.read_text().splitlines(keepends=True)
+    at = sum(line.split("\t", 1)[0] < key for line in lines)
+    cache.write_text("".join(lines[:at] + [foreign] + lines[at:]))
+    assert main(["extend", "--db", str(db), "--to", "13"]) == 0
+    assert (db.read_bytes(), cache.read_bytes()) == straight_build[13]
+    capsys.readouterr()
+
+
 class Stopped(Exception):
     """A run stopped between two writes."""
 
@@ -278,6 +298,16 @@ def test_phi_command(capsys):
     out = capsys.readouterr().out
     assert "coefficient -2 at x^7" in out
     assert "coefficient -2 at x^41" in out
+
+
+def test_phi_refuses_an_index_above_its_bound(capsys):
+    # Phi_n holds phi(n) + 1 coefficients; above n = 10**6 `phi` is a usage
+    # error that names the bound, answered before anything is built.
+    start = time.perf_counter()
+    for n in (10**6 + 1, 10**18):
+        assert main(["phi", str(n)]) == 2
+        assert "phi accepts n up to 1,000,000" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_plot_command(tmp_path, capsys):
@@ -398,6 +428,9 @@ def _build_through_weight_17(tmp_path, capsys, extends):
         "report.csv": capsys.readouterr().out.encode(),
     }
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == reference
+    # Each weight wrote its own types' lines, and the file keeps no other.
+    keys = [line.split(b"\t", 1)[0].decode() for line in outputs["minvan.db.cache"].splitlines()]
+    assert keys == sorted(render_type(r.type) for r in load_db(str(db)).records)
 
 
 def test_build_through_weight_17_matches_the_benchmark_reference(tmp_path, capsys):

@@ -154,19 +154,6 @@ def test_assembly_count_is_the_number_of_assemblies(db16, shared_cache):
     assert sum(assembly_count(r.type.components[0], shared_cache) for r in db16.records) == 5968
 
 
-def test_cache_hands_over_each_key_once():
-    # take_unsaved gives each key put since its last call, once, whether
-    # or not it was put twice.
-    cache = SorouCache()
-    r3 = sorou_of_minvan_type(R3, cache)
-    cache.put("(R3;1:0)", ())
-    assert cache.take_unsaved() == {"(R3;1:0)": r3}
-    assert cache.take_unsaved() == {}
-    sorou_of_minvan_type(R5_R3, cache)
-    assert list(cache.take_unsaved()) == ["(R5;1:0;(R3;1:0))"]
-    assert cache.get("(R3;1:0)") == r3
-
-
 def test_missing_realization_raises(shared_cache):
     with pytest.raises(ValueError, match="type has no minimal realization"):
         type_statistics(UNCERTIFIABLE, SorouCache())

@@ -8,10 +8,14 @@ library: a module-level ``_name`` function or class must be referenced by
 library code outside its own definition, and a public one by library code
 outside its own definition or by a test, demo or benchmark script (a
 re-export does not count).  The ``cli.cmd_*`` handlers are exempt, because
-``main`` looks them up by name.
+``main`` looks them up by name.  A last test keeps the modules that only
+a statistics fan-out needs out of a plain ``import minvan.cli``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +138,17 @@ def test_module_uses_its_imports(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_script_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # pickle and signal are imported by the fan-out when it forks, so a
+    # command that forks no worker never pays for them.
+    script = (
+        "import sys, minvan.cli\n"
+        "print(sorted({'pickle', 'signal', 'multiprocessing', 'subprocess'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(minvan.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out == "[]\n"

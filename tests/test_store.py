@@ -1,3 +1,4 @@
+import heapq
 import os
 import re
 
@@ -164,22 +165,31 @@ def _cache_text(data):
     )
 
 
-def test_cache_round_trip(tmp_path, shared_cache):
+def _lines(data):
+    """The (key, line) stream `save_cache` takes for the class lists of data."""
+    return [(k, cache_line(k, data[k])) for k in sorted(data)]
+
+
+def test_cache_round_trip(tmp_path, db16, shared_cache):
     # Saving {A} and then {B} gives the bytes of saving {A, B}; a key in
-    # both takes the new line.
+    # both takes the new line, and a key no type of the database renders
+    # leaves the file.
     a = {render_type(T(R5_R3)): sorou_of_minvan_type(R5_R3, shared_cache)}
     b = {render_type(T(R3)): sorou_of_minvan_type(R3, shared_cache)}
     merged, together = tmp_path / "merged.cache", tmp_path / "together.cache"
-    save_cache(a, str(merged))
-    save_cache(b, str(merged))
-    save_cache({**a, **b}, str(together))
+    save_cache(db16, _lines(a), str(merged))
+    save_cache(db16, _lines(b), str(merged))
+    save_cache(db16, _lines({**a, **b}), str(together))
     assert merged.read_bytes() == together.read_bytes() == _cache_text({**a, **b}).encode()
 
     stale = {k: v[:0] for k, v in a.items()}
-    save_cache(stale, str(merged))
+    save_cache(db16, _lines(stale), str(merged))
     assert merged.read_text() == _cache_text({**stale, **b})
-    save_cache({}, str(merged))
+    save_cache(db16, [], str(merged))
     assert merged.read_text() == _cache_text({**stale, **b})
+    through_5 = TypeDatabase(max_complete_weight=5, records=[r for r in db16.records if r.weight <= 5])
+    save_cache(through_5, [], str(merged))
+    assert merged.read_text() == _cache_text(b)
 
 
 def test_cache_round_trip_of_the_database(tmp_path, db16, shared_cache):
@@ -192,104 +202,106 @@ def test_cache_round_trip_of_the_database(tmp_path, db16, shared_cache):
     path = tmp_path / "db16.cache"
     for w in range(16, 1, -1):
         keys = [render_type(r.type) for r in db16.records_for_weight(w)]
-        save_cache({k: data[k] for k in keys}, str(path))
+        save_cache(db16, _lines({k: data[k] for k in keys}), str(path))
     assert path.read_text() == _cache_text(data)
 
 
-def test_cache_hit_equals_recomputation(tmp_path, shared_cache):
+def test_cache_hit_equals_recomputation(tmp_path, db16, shared_cache):
     # A fresh cache recomputes the class list a saved line holds, and
     # merging the recomputed line leaves the file's bytes as they were.
     key = render_type(T(R5_R3))
     classes = sorou_of_minvan_type(R5_R3, shared_cache)
     path = tmp_path / "sorou.cache"
-    save_cache({key: classes}, str(path))
+    save_cache(db16, _lines({key: classes}), str(path))
     saved = path.read_bytes()
     fresh = SorouCache()
     assert sorou_of_minvan_type(R5_R3, fresh) == classes
-    save_cache({key: fresh.get(key)}, str(path))
+    save_cache(db16, _lines({key: fresh.get(key)}), str(path))
     assert path.read_bytes() == saved
 
 
-def test_cache_merges_rendered_lines_as_their_class_lists(tmp_path, shared_cache):
-    # A line rendered elsewhere (by a statistics worker) merges as the class
-    # list it renders, and a key given both ways takes the class list's line.
+def test_cache_merges_rendered_lines_as_their_class_lists(tmp_path, db16, shared_cache):
+    # Lines rendered in two processes (this one and a statistics worker),
+    # merged in key order, save as the class lists they render; a key in
+    # both the lines and the file takes the new line, stale or not.
     a = {render_type(T(R5_R3)): sorou_of_minvan_type(R5_R3, shared_cache)}
     b = {render_type(T(R3)): sorou_of_minvan_type(R3, shared_cache)}
     path = tmp_path / "sorou.cache"
-    save_cache(a, str(path), {k: cache_line(k, v) for k, v in b.items()})
+    save_cache(db16, heapq.merge(_lines(a), _lines(b)), str(path))
     assert path.read_text() == _cache_text({**a, **b})
-    stale = {k: cache_line(k, v[:0]) for k, v in {**a, **b}.items()}
-    save_cache(b, str(path), stale)
-    assert path.read_text() == _cache_text({**a, **b, **{k: v[:0] for k, v in a.items()}})
+    stale = {k: v[:0] for k, v in a.items()}
+    save_cache(db16, _lines(stale), str(path))
+    assert path.read_text() == _cache_text({**b, **stale})
+    save_cache(db16, _lines(b), str(path))
+    assert path.read_text() == _cache_text({**b, **stale})
 
 
-def test_cache_rendered_once_equals_rendered_at_every_save(tmp_path):
-    # A build that renders each class list once, at the save after it is
-    # put, writes at every weight the bytes of one that renders every list
-    # the run holds at every save.
-    once, every = tmp_path / "once.cache", tmp_path / "every.cache"
+def test_cache_of_each_weight_s_own_types_equals_every_class_list(tmp_path):
+    # A build that saves at each weight only the lines of that weight's
+    # types writes the bytes of one that saves every class list the run
+    # holds, lower lists included: every list the cache holds is a type of
+    # the database, and its line was written at the type's own weight.
+    own, every = tmp_path / "own.cache", tmp_path / "every.cache"
     db, cache = TypeDatabase(), SorouCache()
-    rendered = []
     for w in range(2, 15):
         types = generate_next_weight(db, GenerationConfig(target_weight=w), cache)
         db.commit_weight(w, [type_statistics(m, cache) for m in types])
-        unsaved = cache.take_unsaved()
-        rendered += unsaved
-        save_cache(unsaved, str(once))
-        save_cache(cache.as_dict(), str(every))
-        assert once.read_bytes() == every.read_bytes()
-    assert len(rendered) == len(set(rendered)) == len(cache.as_dict()) == 39
+        keys = {render_type(r.type) for r in db.records_for_weight(w)}
+        save_cache(db, _lines({k: cache.get(k) for k in keys}), str(own))
+        save_cache(db, _lines(cache.as_dict()), str(every))
+        assert own.read_bytes() == every.read_bytes()
+    assert len(own.read_text().splitlines()) == len(cache.as_dict()) == len(db.records) == 39
 
 
-def _corrupt_cache(tmp_path, shared_cache, edit):
+def _corrupt_cache(tmp_path, db, shared_cache, edit):
     """A two-key cache of R3 and R5:R3 whose lines `edit` rewrites."""
     data = {render_type(T(m)): sorou_of_minvan_type(m, shared_cache) for m in (R3, R5_R3)}
     path = tmp_path / "corrupt.cache"
-    save_cache(data, str(path))
+    save_cache(db, _lines(data), str(path))
     lines = path.read_text().splitlines()
     assert [line.split("\t")[0] for line in lines] == ["(R3;1:0)", "(R5;1:0;(R3;1:0))"]
     path.write_text("\n".join(edit(lines)) + "\n")
     return str(path)
 
 
-def _merge_into(path, message):
+def _merge_into(db, path, message):
     """Merge a line into the cache file at path, which refuses it with
     message and is left as it was, with no temporary file beside it."""
     with open(path, "rb") as fh:
         before = fh.read()
     with pytest.raises(ValueError, match=message):
-        save_cache({"(R2;1:0)": ()}, path)
+        save_cache(db, _lines({"(R2;1:0)": ()}), path)
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert os.listdir(os.path.dirname(path)) == ["corrupt.cache"]
 
 
-def test_cache_rejects_a_duplicate_key(tmp_path, shared_cache):
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], ls[0], ls[1]])
-    _merge_into(path, "corrupt.cache:2: duplicate cache key")
+def test_cache_rejects_a_duplicate_key(tmp_path, db16, shared_cache):
+    path = _corrupt_cache(tmp_path, db16, shared_cache, lambda ls: [ls[0], ls[0], ls[1]])
+    _merge_into(db16, path, "corrupt.cache:2: duplicate cache key")
 
 
-def test_cache_rejects_keys_out_of_order(tmp_path, shared_cache):
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[1], ls[0]])
-    _merge_into(path, "corrupt.cache:2: out-of-order cache key")
+def test_cache_rejects_keys_out_of_order(tmp_path, db16, shared_cache):
+    path = _corrupt_cache(tmp_path, db16, shared_cache, lambda ls: [ls[1], ls[0]])
+    _merge_into(db16, path, "corrupt.cache:2: out-of-order cache key")
 
 
 @pytest.mark.parametrize("index", [0, 1, 2], ids=["first", "between-keys", "at-end"])
-def test_cache_rejects_a_blank_line(tmp_path, shared_cache, index):
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: ls[:index] + [""] + ls[index:])
-    _merge_into(path, rf"corrupt.cache:{index + 1}: blank line")
+def test_cache_rejects_a_blank_line(tmp_path, db16, shared_cache, index):
+    path = _corrupt_cache(tmp_path, db16, shared_cache, lambda ls: ls[:index] + [""] + ls[index:])
+    _merge_into(db16, path, rf"corrupt.cache:{index + 1}: blank line")
 
 
-def test_cache_rejects_a_line_without_a_tab(tmp_path, shared_cache):
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: [ls[0], ls[1].replace("\t", " ")])
-    _merge_into(path, "corrupt.cache:2: missing tab separator")
+def test_cache_rejects_a_line_without_a_tab(tmp_path, db16, shared_cache):
+    path = _corrupt_cache(tmp_path, db16, shared_cache, lambda ls: [ls[0], ls[1].replace("\t", " ")])
+    _merge_into(db16, path, "corrupt.cache:2: missing tab separator")
 
 
-def test_cache_rejects_a_last_line_without_a_newline(tmp_path, shared_cache):
-    path = _corrupt_cache(tmp_path, shared_cache, lambda ls: ls)
+def test_cache_rejects_a_last_line_without_a_newline(tmp_path, db16, shared_cache):
+    path = _corrupt_cache(tmp_path, db16, shared_cache, lambda ls: ls)
     with open(path, "r+") as fh:
         fh.truncate(len(fh.read()) - 1)
-    _merge_into(path, "corrupt.cache:2: missing newline at end of file")
+    _merge_into(db16, path, "corrupt.cache:2: missing newline at end of file")
 
 
 def test_csv_rows(db16):
