@@ -92,14 +92,14 @@ def _load_db(path: str) -> store.TypeDatabase:
 
 # A weight's statistics are shared with forked workers only when its types
 # have at least this many assemblies in all (`enumeration.assembly_count`),
-# about 20 ms of work on one core.  A fork round trip costs about 1.5 ms, and
-# weights 13 and 14 (232 and 563 assemblies) ran no faster with a worker.
+# about 10 ms of work on one core; a fork round trip costs about 1.5 ms.  In
+# alternating `extend --to 17` runs, neither 500 nor 2,000 did better.
 FORK_MIN_ASSEMBLIES = 1000
 
 
 def _lines(keys, cache: enumeration.SorouCache):
     """(key, `cache_line`) of each key's class list, lazily, in keys' order."""
-    return ((k, store.cache_line(k, cache.get(k))) for k in keys)
+    return ((k, store.cache_line(k, cache.rendered(k))) for k in keys)
 
 
 def _worker_statistics(types: list, cache: enumeration.SorouCache):

@@ -10,29 +10,29 @@ its share — any sorou missing that property could only assemble into a
 non-minimal parent.  There is no unanchored mode.
 
 Each assembly is decided minimal or not on its slots, which are the parts
-of its subsidiary decomposition (minimality.assembly_criterion), so the
+of its subsidiary decomposition: `minimality.assembly_criterion` gives each
+slot a mask, and the AND of an assembly's masks decides it.  So the
 certification fallback builds no sorou of the candidate type, and
-statistics enumerate a type once and ask the criterion about no class.
-Each (subtype, f0) pair's slot options are built once per cache, and each
-type's criterion once per walk, with its pools (`_slot_pools`).
+statistics ask the criterion about no class.  Each (subtype, f0) pair's
+slot options are built once per cache, and each type's criterion once per
+walk, with its pools (`_slot_pools`).
 
-An assembled sorou is never built as (order, power) roots: each assembly
-of a type is a list of exponents mod one order N for the whole type, with
-their bitmask, and `sorou.least_rotation` finds its rotation class on them.
-For distinct terms at an N of at most 256 per term it narrows the
-candidate anchors as one bitmask, a shift and an AND per rank, until one
-anchor is left or the survivors are equal rotations; the walk visits at
-most weight-many ranks, and only the anchors left at that cap are sorted.
-Only the yielded canonical form is converted back to roots.  The
-statistics of a class (parity, height, relative order) are functions of
-its order profile, so `parity`, `height` and `relative_order` are called
-once per order profile of the type's minimal classes.
+An assembled sorou is never built as (order, power) roots: every assembly
+of a type lies in mu_n, n = `_modulus`, each slot option at each position
+is one (exponents, exponent bitmask, slot mask) triple built once per type,
+and `sorou.least_rotation` ranks the assembly's exponents, narrowing the
+candidate anchors as one bitmask for distinct terms.  A class is the sorted
+tuple of its terms' ranks in `sorou._rank_table(n)`, so classes are
+deduplicated and sorted as tuples of ints, which within one n is (order,
+power) order.
 
-Results are deduplicated by canonical form (true rotation classes) and
-memoized per rendered type, in memory: a run recomputes any list it needs.
-The memo is transparent to results.  `type_statistics` puts the list of
-the type it records, which is the list `store.save_cache` writes out for
-that type; the lower lists certification puts are already in the file.
+Class lists are memoized per rendered type, in memory, as rank tuples: a
+run recomputes any list it needs, and builds roots only for a caller that
+asks for a class list.  `.cache` lines, and the order profiles that the
+statistics of a class are functions of, are read off per-n tables of the
+text and the order of each rank.  `type_statistics` puts the list of the
+type it records, which is the list `store.save_cache` writes out for that
+type; the lower lists certification puts are already in the file.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product
+from typing import Iterator
 
-from minvan.minimality import assembly_criterion
+from minvan.minimality import OK_BIT, assembly_criterion, slots_condition
 from minvan.sorou import (
     Sorou,
     _exponent_mask,
+    _rank_columns,
     _rank_table,
     distinct_permutations,
     height,
@@ -65,21 +67,35 @@ from minvan.types import (
 
 
 class SorouCache:
-    """Memo of rotation-class lists keyed by rendered type, and of the slot
-    options of each (subtype, f0) pair."""
+    """Memo of class lists keyed by rendered type, each kept as (n, sorted
+    rank tuples at n), and of the slot options of each (subtype, f0) pair."""
 
     def __init__(self):
-        self._classes: dict[str, tuple[Sorou, ...]] = {}
+        self._classes: dict[str, tuple[int, list[tuple[int, ...]]]] = {}
         self._slots: dict[tuple[TypeSum, Sorou], tuple[Sorou, ...]] = {}
 
     def get(self, key: str) -> tuple[Sorou, ...] | None:
-        return self._classes.get(key)
+        hit = self._classes.get(key)
+        return None if hit is None else _as_sorou(*hit)
 
-    def put(self, key: str, value: tuple[Sorou, ...]) -> None:
-        self._classes.setdefault(key, value)
+    def put(self, key: str, n: int, classes: list[tuple[int, ...]]) -> None:
+        self._classes.setdefault(key, (n, classes))
+
+    def rendered(self, key: str) -> Iterator[str]:
+        """The classes of key as `render_sorou` renders them, lazily, joined
+        from the text of each rank (`sorou._rank_columns`)."""
+        n, classes = self._classes[key]
+        texts = _rank_columns(n)[1]
+        return ("+".join([texts[i] for i in s]) for s in classes)
 
     def as_dict(self) -> dict[str, tuple[Sorou, ...]]:
-        return dict(self._classes)
+        return {key: self.get(key) for key in self._classes}
+
+
+def _as_sorou(n: int, classes: list[tuple[int, ...]]) -> tuple[Sorou, ...]:
+    """Rank tuples at n as sorou."""
+    _, roots = _rank_table(n)
+    return tuple([tuple([roots[i] for i in s]) for s in classes])
 
 
 def sorou_of_typesum_anchored(t: TypeSum, f0: Sorou, cache: SorouCache) -> list[Sorou]:
@@ -105,14 +121,20 @@ def _slot_options(t: TypeSum, f0: Sorou, cache: SorouCache) -> tuple[Sorou, ...]
 
 
 def _slot_pools(m: MinVanType, cache: SorouCache):
-    """(labels, pools, failing): the subtypes of m as indices into pools,
+    """(labels, pools, mask): the subtypes of m as indices into pools,
     numbered in first-seen order; each distinct subtype's slot options, the
-    last pool being (f0,), the slot that no subtype fills; and m's
-    `assembly_criterion` on those options."""
+    last pool being (f0,), the slot that no subtype fills; and the slot
+    masks of m's `assembly_criterion` on those options."""
     index: dict[TypeSum, int] = {}
     labels = [index.setdefault(t, len(index)) for t in m.subtypes]
     pools = [_slot_options(t, m.f0, cache) for t in index] + [(m.f0,)]
     return labels, pools, assembly_criterion(m.f0, chain.from_iterable(pools[:-1]))
+
+
+def _modulus(m: MinVanType, cache: SorouCache) -> int:
+    """The n with every assembly of m in mu_n: lcm(p, orders of f0 and options)."""
+    options = (x for t in m.subtypes for x in _slot_options(t, m.f0, cache))
+    return math.lcm(m.p, order(m.f0), *map(order, options))
 
 
 def assembly_count(m: MinVanType, cache: SorouCache) -> int:
@@ -128,69 +150,58 @@ def assembly_count(m: MinVanType, cache: SorouCache) -> int:
     return placements * math.prod(len(_slot_options(t, m.f0, cache)) for t in m.subtypes)
 
 
-def _assemblies(p: int, labels: list[int], pools: list[tuple[Sorou, ...]], failing):
-    """Lazily yield (slots, minimal) for every slot assembly of a type m of
-    top prime p, from its `_slot_pools`; the sorou is sum_j nu_p^j
-    slots[j], never built here, and weighs w(m), as a slot f0 - v of
-    subtype t weighs w(t) - w(f0).  `failing` decides minimality on the
-    slots.  Placements permute the small integer labels of `_slot_pools`,
-    the first subtype always at slot 0: a cyclic shift of the slots, which
-    only rotates the sorou, moves any slot there."""
-    empty = [len(pools) - 1] * (p - len(labels))
-    for rest in distinct_permutations(labels[1:] + empty):
-        for slots in product(*[pools[i] for i in (*labels[:1], *rest)]):
-            yield slots, failing(slots) is None
-
-
 def _iter_assembled(m: MinVanType, cache: SorouCache):
-    """Lazily yield (canonical form, minimal) for every slot assembly of
-    type m (duplicates possible across assemblies).
+    """Lazily yield (ranks, minimal) for every slot assembly of type m,
+    duplicates possible: the `least_rotation` at n = `_modulus(m, cache)` of
+    sum_j nu_p^j slots[j], which weighs w(m) and is never built, and
+    whether the AND of the slots' masks (`_slot_pools`) is OK_BIT.
 
-    Every assembly of m lives in mu_n, n = lcm(p, orders of f0 and of every
-    slot option), so a slot x at position j is the exponent list
-    j*n/p + e mod n, e the exponents of x; each (j, x) list is built once,
-    with its `sorou._exponent_mask`, and an assembly's mask, the OR of its
-    slots' masks, goes to `least_rotation` with its exponents.
-    `least_rotation` at n picks the same class as `canonicalize` at the
-    assembly's own order, which divides n: its anchored rotations stay in
-    that subgroup, and (order, power) ranks order it alike in both tables.
+    Placements permute the small integer labels of `_slot_pools`, the first
+    subtype always at slot 0: a cyclic shift of the slots, which only
+    rotates the sorou, moves any slot there.  A slot x at position j is the
+    exponent list j*n/p + e mod n, e the exponents of x, built once per type
+    with its `sorou._exponent_mask` and x's mask.  `least_rotation` at n
+    picks the same class as `canonicalize` at the assembly's own order,
+    which divides n: its anchored rotations stay in that subgroup, and
+    (order, power) ranks order it alike in both tables.
     """
     p = m.p
-    labels, pools, failing = _slot_pools(m, cache)
-    n = math.lcm(p, *(order(x) for pool in pools for x in pool))
+    labels, pools, mask = _slot_pools(m, cache)
+    n = _modulus(m, cache)
     step = n // p
-    _, roots = _rank_table(n)
-    memo: dict[tuple[int, Sorou], tuple[list[int], int]] = {}
-    for slots, minimal in _assemblies(p, labels, pools, failing):
-        es: list[int] = []
-        t = 0
-        for key in enumerate(slots):
-            hit = memo.get(key)
-            if hit is None:
-                j, x = key
-                part = [(j * step + q * (n // o)) % n for o, q in x]
-                hit = memo[key] = part, _exponent_mask(part)
-            es += hit[0]
-            t |= hit[1]
-        yield tuple([roots[i] for i in least_rotation(es, n, t)]), minimal
+
+    def triple(j: int, x: Sorou) -> tuple[list[int], int, int]:
+        es = [(j * step + q * (n // o)) % n for o, q in x]
+        return es, _exponent_mask(es), mask(x)
+
+    rows = [[[triple(j, x) for x in pool] for pool in pools] for j in range(p)]
+    empty = [len(pools) - 1] * (p - len(labels))
+    for rest in distinct_permutations(labels[1:] + empty):
+        for row in product(*[rows[j][i] for j, i in enumerate((*labels[:1], *rest))]):
+            es, t, v = [], 0, -1
+            for part, bits, verdict in row:
+                es += part
+                t |= bits
+                v &= verdict
+            yield tuple(least_rotation(es, n, t)), v == OK_BIT
 
 
-def _enumerate(
-    m: MinVanType, key: str, cache: SorouCache
-) -> tuple[tuple[Sorou, ...], dict[Sorou, bool]]:
-    """Enumerate m once and put its sorted class list in the cache under
-    key, m's rendering; returns the classes and each one's verdict."""
+def _enumerate(m: MinVanType, key: str, cache: SorouCache):
+    """Enumerate m once and put its class list in the cache under key, m's
+    rendering: its distinct rank tuples, sorted, which within one n is
+    (order, power) order.  Returns (n, the classes, each one's verdict)."""
+    n = _modulus(m, cache)
     verdicts = dict(_iter_assembled(m, cache))
-    classes = tuple(sorted(verdicts))
-    cache.put(key, classes)
-    return classes, verdicts
+    classes = sorted(verdicts)
+    cache.put(key, n, classes)
+    return n, classes, verdicts
 
 
 def sorou_of_minvan_type(m: MinVanType, cache: SorouCache) -> tuple[Sorou, ...]:
     """All rotation-class representatives of sorou of minimal type m."""
     key = render_minvan(m)
     hit = cache.get(key)
-    return hit if hit is not None else _enumerate(m, key, cache)[0]
+    return hit if hit is not None else _as_sorou(*_enumerate(m, key, cache)[:2])
 
 
 def has_minimal_realization(m: MinVanType, cache: SorouCache) -> bool:
@@ -206,11 +217,11 @@ def has_minimal_realization(m: MinVanType, cache: SorouCache) -> bool:
     assembly, so m has a minimal realization iff some choice passes.  The
     search stops at the first that does.
     """
-    labels, pools, failing = _slot_pools(m, cache)
+    labels, pools, mask = _slot_pools(m, cache)
     choices = product(
         *(combinations_with_replacement(pools[i], c) for i, c in Counter(labels).items())
     )
-    return any(failing((m.f0, *chain.from_iterable(choice))) is None for choice in choices)
+    return any(slots_condition(mask, (m.f0, *chain.from_iterable(c))) is None for c in choices)
 
 
 def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
@@ -223,20 +234,20 @@ def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
     height is its count of order-1 terms, its relative order the lcm of its
     term orders (1 is a term), and its parity the odd/even split of its
     term orders (`parity` rotates by the first term, 1).  All three are
-    functions of the order profile (the sorted tuple of term orders), so
-    `parity`, `height` and `relative_order` are called once per profile:
+    functions of the order profile (the sorted tuple of term orders, read
+    off the ranks), so they are read on one class per profile, as roots:
     the 12,732 minimal classes of weights 13 to 17 have 229 profiles.
     """
     key = render_minvan(m)
-    classes, verdicts = _enumerate(m, key, cache)
-    minimal = [s for s in classes if verdicts[s]]
-    if not minimal:
+    n, _, verdicts = _enumerate(m, key, cache)
+    orders = _rank_columns(n)[0]
+    reps = {tuple([orders[i] for i in s]): s for s, minimal in verdicts.items() if minimal}
+    if not reps:
         raise ValueError(f"type has no minimal realization: {key}")
     w = type_weight(TypeSum((m,)))
-    for s in minimal:
-        if len(s) != w:
-            raise AssertionError("minimal realization with wrong weight")
-    reps = {tuple([o for o, _ in s]): s for s in minimal}.values()  # one per profile
+    if any(len(profile) != w for profile in reps):
+        raise AssertionError("minimal realization with wrong weight")
+    reps = _as_sorou(n, reps.values())  # one per profile
     return TypeRecord(
         type=TypeSum((m,)),
         relative_orders=frozenset(map(relative_order, reps)),

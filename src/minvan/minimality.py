@@ -20,7 +20,8 @@ Conditions (ii) and (iii) have one implementation, `assembly_criterion`,
 which reads them on slots: enumeration gives it the slots it assembles, and
 `is_minimal_vanishing` the parts of its subsidiary decomposition.  Both lie
 in mu_Q, Q the product of the primes below the top prime, so the criterion
-has one path and never calls back into `is_minimal_vanishing`.
+has one path and never calls back into `is_minimal_vanishing`.  It gives
+each slot an integer mask, and an assembly is decided by their AND.
 
 A vanishing sorou whose relative order is not squarefree cannot be minimal
 (Mann), so it is refused without decomposing; one with fewer terms than its
@@ -54,6 +55,8 @@ FAIL_NOT_VANISHING = "not-vanishing"
 FAIL_VALUE_ZERO_F0 = "value-zero-f0"
 FAIL_INNER_VANISHING = "inner-vanishing-subsorou"
 FAIL_COMMON_SUBVALUE = "common-subvalue"
+
+OK_BIT = 1  # of a slot mask: no proper subsorou vanishes (`assembly_criterion`)
 
 
 @dataclass(frozen=True)
@@ -122,14 +125,13 @@ def _failing_condition(s: Sorou) -> str | None:
     f0 = parts[0]
     if is_vanishing(f0):
         return FAIL_VALUE_ZERO_F0
-    return assembly_criterion(f0, parts)(parts)
+    return slots_condition(assembly_criterion(f0, parts), set(parts))
 
 
-def assembly_criterion(
-    f0: Sorou, options: Iterable[Sorou]
-) -> Callable[[tuple[Sorou, ...]], str | None]:
+def assembly_criterion(f0: Sorou, options: Iterable[Sorou]) -> Callable[[Sorou], int]:
     """The minimality test of g = sum_j nu_p^j slots[j], read on the slots:
-    the closure returns the failing condition, or None when g is minimal.
+    the closure gives each slot's mask, and g is decided by the AND of its
+    slots' masks (`slots_condition`).
 
     Every slot is f0 or one of `options`, each of f0's value, which is
     nonzero: enumeration offers f0 - v for a vanishing v that contains f0,
@@ -143,30 +145,41 @@ def assembly_criterion(
     change under either, so g is minimal iff no slot has a vanishing proper
     subsorou and the slots share no proper subsorou value.  Some slot is f0
     (a type has at most p - 1 subtypes, and f0 is the first part of a
-    decomposition), so a shared value is one of f0's: each distinct slot
-    keeps only the values it shares with f0, computed once, on first use, at
-    the lcm of all slot orders, which divides Q and so is squarefree.
+    decomposition), so a shared value is one of f0's.
 
-    The closure reads only the set of the slots: the verdict does not depend
-    on which slot sits at which power of nu_p, nor on how often a slot
-    repeats, so certification (`enumeration.has_minimal_realization`) asks
-    it once per choice of slots, not once per placement.
+    A slot's mask, f0's too, is 0 when a proper subsorou of it vanishes,
+    else OK_BIT plus a bit per value of f0 it shares: so the AND is 0 when
+    some slot fails (ii), OK_BIT when g is minimal, and else names a shared
+    value.  Masks are computed on first use, at the lcm of all slot orders,
+    which divides Q and so is squarefree.
+
+    A verdict reads only the set of the slots: it does not depend on which
+    slot sits at which power of nu_p, nor on how often a slot repeats, so
+    certification (`enumeration.has_minimal_realization`) asks once per
+    choice of slots, not once per placement.
     """
     modulus = math.lcm(*map(order, {f0, *options}))
-    f0_values = _proper_subsorou_values(f0, modulus)[1]
-    shared: dict[Sorou, frozenset | None] = {}  # None: a proper subsorou vanishes
+    bits = {v: 2 << i for i, v in enumerate(_proper_subsorou_values(f0, modulus)[1])}
+    masks: dict[Sorou, int] = {}
 
-    def failing(slots: tuple[Sorou, ...]) -> str | None:
-        common = f0_values
-        for x in set(slots):
-            if x not in shared:
-                shared[x] = _shared_values(x, f0, modulus)
-            if shared[x] is None:
-                return FAIL_INNER_VANISHING
-            common = common & shared[x]
-        return FAIL_COMMON_SUBVALUE if common else None
+    def mask(x: Sorou) -> int:
+        hit = masks.get(x)
+        if hit is None:
+            shared = _shared_values(x, f0, modulus)
+            hit = masks[x] = 0 if shared is None else sum(map(bits.__getitem__, shared), OK_BIT)
+        return hit
 
-    return failing
+    return mask
+
+
+def slots_condition(mask: Callable[[Sorou], int], slots: Iterable[Sorou]) -> str | None:
+    """The condition an assembly of slots fails, or None when it is minimal,
+    read on the AND of their masks, which stops at the first slot of mask 0."""
+    v = -1
+    for x in slots:
+        if not (v := v & mask(x)):
+            return FAIL_INNER_VANISHING
+    return None if v == OK_BIT else FAIL_COMMON_SUBVALUE
 
 
 @lru_cache(maxsize=4096)  # candidates of one weight share most slots

@@ -67,20 +67,29 @@ def sorou(terms: Iterable[tuple[int, int]]) -> Sorou:
     return tuple(sorted(make_root(o, p) for o, p in terms))
 
 
+MAX_ORDER = 10**24  # `parse_sorou`'s bound: factoring an order below it takes under 1 s
+
 # Chunk -> root memo of `parse_sorou` (the f0 of each type `load_db` parses,
-# each `verify` query), and root -> text memo of `render_sorou` (the millions
-# of terms `save_cache` writes).  Only parsed chunks are stored, so a bad
+# each `verify` query), and root -> text memo of `render_sorou` (the terms
+# `verify` and `enumerate` print).  Only parsed chunks are stored, so a bad
 # term raises (with its position) on every parse.
 _CHUNK_ROOTS: dict[str, Root] = {}
 
 
 def parse_sorou(text: str) -> Sorou:
     """Parse the ``ORDER:POWER(+ORDER:POWER)*`` grammar; terms are reduced
-    and sorted as by `sorou`."""
+    and sorted as by `sorou`.  A sum of order above MAX_ORDER is refused."""
     try:
-        return tuple(sorted(map(_CHUNK_ROOTS.__getitem__, text.split("+"))))
-    except KeyError:
-        pass  # some chunk is new: parse, or reject, each one below
+        terms = sorted(map(_CHUNK_ROOTS.__getitem__, text.split("+")))
+    except KeyError:  # some chunk is new
+        terms = _parse_terms(text)
+    if math.lcm(*[o for o, _ in terms]) > MAX_ORDER:
+        raise ValueError(f"sorou order is above the bound MAX_ORDER = {MAX_ORDER:.0e}")
+    return tuple(terms)
+
+
+def _parse_terms(text: str) -> list[Root]:
+    """The sorted terms of text, each chunk parsed, or rejected with its position."""
     if not text:
         raise ValueError("sorou parse error at position 0: empty text")
     terms = []
@@ -97,7 +106,7 @@ def parse_sorou(text: str) -> Sorou:
         terms.append(root)
         pos += len(chunk) + 1
     terms.sort()
-    return tuple(terms)
+    return terms
 
 
 @cache
@@ -221,6 +230,13 @@ def _rank_exponents(n: int) -> tuple[int, ...]:
     return tuple(p * (n // o) for o, p in _rank_table(n)[1])
 
 
+@cache
+def _rank_columns(n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """(orders, `render_sorou` texts) of the roots of `_rank_table(n)`, in rank order."""
+    roots = _rank_table(n)[1]
+    return tuple([o for o, _ in roots]), tuple([f"{o}:{p}" for o, p in roots])
+
+
 def _exponent_mask(es: Iterable[int]) -> int:
     """The integer with bit e set for each exponent e of es."""
     t = 0
@@ -280,10 +296,10 @@ def least_rotation(es: list[int], n: int, mask: int = 0) -> list[int]:
                 if not need:
                     live &= -live  # equal rotations: keep one
                     break
-        if live & (live - 1):
-            anchors = [e for e in es if live >> e & 1]
-        else:
-            anchors = [live.bit_length() - 1]
+        if not live & (live - 1):  # one anchor left
+            a = live.bit_length() - 1
+            return sorted([rank[e - a] for e in es])
+        anchors = [e for e in es if live >> e & 1]
     else:
         anchors = list(dict.fromkeys(es))
         if len(anchors) < w:

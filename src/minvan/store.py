@@ -23,7 +23,6 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from minvan.sorou import Sorou, render_sorou
 from minvan.types import (
     TypeRecord,
     parse_type,
@@ -177,10 +176,10 @@ def _cache_lines(path: str) -> Iterator[tuple[str, str]]:
             previous = key
 
 
-def cache_line(key: str, classes: tuple[Sorou, ...]) -> str:
+def cache_line(key: str, classes: Iterable[str]) -> str:
     """The cache file's line for one class list: the key, a tab, and the
-    classes, rendered, joined by commas."""
-    return key + "\t" + ",".join(map(render_sorou, classes)) + "\n"
+    classes, as `render_sorou` renders them, joined by commas."""
+    return key + "\t" + ",".join(classes) + "\n"
 
 
 def save_cache(db: TypeDatabase, lines: Iterable[tuple[str, str]], path: str) -> None:

@@ -22,6 +22,8 @@ rotates root tuples, where the library reads exponents off a rank table.
 split term by term with `split_root`, where the library buckets exponents.
 `classes_over_every_placement` walks every placement of a type's subtypes
 on its slots, where the enumerator fixes the first subtype at slot 0.
+`slot_assemblies` walks the enumerator's assemblies as root-tuple slots,
+in its order, where the enumerator walks exponent rows.
 `clear_verify_memos` empties the bounded memos that `minvan verify` reads,
 for tests that time or count the work beneath them, and
 `verify_mix_texts` builds the benchmark's verify stream.
@@ -309,6 +311,17 @@ def classes_over_every_placement(m, cache) -> set[Sorou]:
         for placement in distinct_permutations(labels + empty)
         for slots in product(*[pools[i] for i in placement])
     }
+
+
+def slot_assemblies(m, cache):
+    """The slots of each assembly `enumeration._iter_assembled` walks for
+    type m, in its order: the first subtype at slot 0, the other labels and
+    the empty slots (f0) in distinct permutations, then every choice of
+    options, the last slot's fastest."""
+    labels, pools, _ = _slot_pools(m, cache)
+    empty = [len(pools) - 1] * (m.p - len(labels))
+    for rest in distinct_permutations(labels[1:] + empty):
+        yield from product(*[pools[i] for i in (*labels[:1], *rest)])
 
 
 # The bounded memos of the questions `minvan verify` asks again.

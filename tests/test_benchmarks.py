@@ -1,5 +1,7 @@
 """Micro-benchmarks of the hot kernels on fixed weight-16 inputs, of the
-statistics of the weight-16 types, of the exact vanishing test on
+statistics of the weight-16 types, of the statistics of the weight-17
+types with the rendering of their `.cache` lines (the work of one `extend`
+share), of the exact vanishing test on
 order-4620 sums, of the least-rotation routine on its common case (the
 weight-17 assemblies at order 210) and on its worst cases at order 34650,
 of merging the weight <= 16 class lists into a cache file that already
@@ -17,7 +19,7 @@ import math
 
 import pytest
 
-from minvan.cli import main
+from minvan.cli import _worker_statistics, main
 from minvan.cyclotomic import is_vanishing
 from minvan.enumeration import sorou_of_minvan_type, type_statistics
 from minvan.minimality import is_minimal_vanishing
@@ -34,7 +36,7 @@ from minvan.sorou import (
     sorou,
 )
 from minvan.store import cache_line, save_cache
-from minvan.types import render_type
+from minvan.types import render_minvan, render_type
 
 from helpers import clear_verify_memos, verify_mix_texts
 
@@ -114,7 +116,7 @@ def weight16_cache(db16, shared_cache, tmp_path_factory):
 
 def _cache_lines(data):
     """The (key, line) stream of data's class lists, rendered as it is read."""
-    return ((k, cache_line(k, data[k])) for k in sorted(data))
+    return ((k, cache_line(k, map(render_sorou, data[k]))) for k in sorted(data))
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,17 @@ def test_bench_is_vanishing_order_4620(benchmark, quarter_turn_sums):
 def test_bench_type_statistics(benchmark, weight16_records, shared_cache):
     types = [record.type.components[0] for record in weight16_records]
     assert run(benchmark, lambda m: type_statistics(m, shared_cache), types) == weight16_records
+
+
+def test_bench_weight17_statistics_and_cache_lines(benchmark, types_through_17, shared_cache):
+    """The 37 weight-17 types as one `extend` share runs them in-process
+    (`cli._worker_statistics`): enumeration, verdicts and statistics, then
+    their `.cache` lines, joined from the rank tuples."""
+    types = types_through_17[76:]
+    records, lines = run(benchmark, lambda ts: _worker_statistics(ts, shared_cache), [types])[0]
+    assert [r.weight for r in records] == [17] * 37
+    assert [k for k, _ in lines] == sorted(map(render_minvan, types))
+    assert all(line == cache_line(k, map(render_sorou, shared_cache.get(k))) for k, line in lines)
 
 
 def test_bench_save_cache(benchmark, db16, weight16_cache):

@@ -95,6 +95,28 @@ def test_verify_answers_fast_at_an_order_with_two_large_primes(capsys):
     assert "vanishing: False" in out and "top prime: 10000000033" in out
 
 
+def test_verify_refuses_an_order_above_its_bound(capsys):
+    # Pollard-Brent rho, which factors the order, takes time in proportion
+    # to the square root of its smallest prime, so an order with two
+    # 20-digit primes would take hours.  `parse_sorou` refuses a sum whose
+    # order, the lcm of its term orders, is above MAX_ORDER = 10**24, on
+    # every parse of the text, and `verify` is a usage error naming it.
+    from minvan.sorou import MAX_ORDER, parse_sorou
+
+    assert MAX_ORDER == 10**24
+    start = time.perf_counter()
+    big = (10**20 + 39) * (10**20 + 129)
+    for text in (f"1:0+{big}:1", f"1:0+{10**13}:1+{10**13 + 1}:3"):
+        for _ in range(2):  # the second parse reads every chunk from its memo
+            with pytest.raises(ValueError, match=r"above the bound MAX_ORDER = 1e\+24"):
+                parse_sorou(text)
+        assert main(["verify", text]) == 2
+        assert "error: sorou order is above the bound MAX_ORDER = 1e+24" in capsys.readouterr().err
+    assert main(["verify", f"1:0+{10**24}:1"]) == 1  # the bound itself is accepted
+    assert "vanishing: False" in capsys.readouterr().out
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_decides_a_large_top_prime_without_a_slot_per_residue(capsys):
     # 1 - 1 + nu_N - nu_N vanishes at relative order 2N, top prime N: with
     # 4 terms most of the N slots are empty, so every slot has value 0.
@@ -212,6 +234,7 @@ def test_extend_drops_a_cache_line_of_no_table_type(tmp_path, capsys, straight_b
     # (R5;1:0;(R2;1:0)) is no table type: a line of its own, put into
     # .cache at its key's place, is gone after the next extend.
     from minvan.enumeration import SorouCache, sorou_of_minvan_type
+    from minvan.sorou import render_sorou
     from minvan.store import cache_line
     from minvan.types import parse_type
 
@@ -219,7 +242,8 @@ def test_extend_drops_a_cache_line_of_no_table_type(tmp_path, capsys, straight_b
     cache = tmp_path / "minvan.db.cache"
     assert main(["bootstrap", "--db", str(db)]) == 0
     key = "(R5;1:0;(R2;1:0))"
-    foreign = cache_line(key, sorou_of_minvan_type(parse_type(key).components[0], SorouCache()))
+    classes = sorou_of_minvan_type(parse_type(key).components[0], SorouCache())
+    foreign = cache_line(key, map(render_sorou, classes))
     lines = cache.read_text().splitlines(keepends=True)
     at = sum(line.split("\t", 1)[0] < key for line in lines)
     cache.write_text("".join(lines[:at] + [foreign] + lines[at:]))

@@ -8,8 +8,8 @@ import minvan.enumeration as enumeration
 from minvan.arith import primes_below
 from minvan.enumeration import (
     SorouCache,
-    _assemblies,
     _iter_assembled,
+    _modulus,
     _slot_pools,
     assembly_count,
     has_minimal_realization,
@@ -17,8 +17,9 @@ from minvan.enumeration import (
     sorou_of_typesum_anchored,
     type_statistics,
 )
-from minvan.minimality import is_minimal_vanishing
+from minvan.minimality import is_minimal_vanishing, slots_condition
 from minvan.sorou import (
+    _rank_table,
     canonicalize,
     from_subsidiary,
     height,
@@ -26,13 +27,15 @@ from minvan.sorou import (
     parity,
     parse_sorou,
     relative_order,
+    render_sorou,
     sorou,
     weight,
 )
+from minvan.store import cache_line
 from minvan.typegen import GenerationConfig, _candidates
 from minvan.types import minvan_weight, parse_type, render_minvan, render_type
 
-from helpers import classes_over_every_placement, is_subsorou
+from helpers import classes_over_every_placement, is_subsorou, slot_assemblies
 from table1_fixture import M, T, R2, R3, R5, R5_R3
 
 # One of the four weight-13 candidates that generation drops because every
@@ -161,9 +164,11 @@ def test_missing_realization_raises(shared_cache):
 
 def test_slot_verdicts_match_the_criterion(db16, shared_cache):
     # Every assembly of every certification candidate through weight 17,
-    # and of the uncertifiable weight-13 candidate, is decided on its
-    # slots; the criterion on the assembled sorou must agree.  Every
-    # candidate has the target weight, so certification checks no weight.
+    # and of the uncertifiable weight-13 candidate, is decided by the AND
+    # of its slot masks, as `type_statistics` decides it; the criterion on
+    # the assembled sorou must give the same condition, and the walk the
+    # same verdict.  Every candidate has the target weight, so
+    # certification checks no weight.
     candidates = []
     for w in range(2, 18):
         for m in _candidates(db16, GenerationConfig(target_weight=w)):
@@ -173,11 +178,15 @@ def test_slot_verdicts_match_the_criterion(db16, shared_cache):
     def failures(types):
         out = Counter()
         for m in types:
-            for slots, minimal in _assemblies(m.p, *_slot_pools(m, shared_cache)):
-                s = from_subsidiary(slots)
-                verdict = is_minimal_vanishing(s)
+            _, _, mask = _slot_pools(m, shared_cache)
+            assembled = _iter_assembled(m, shared_cache)
+            walked = zip(slot_assemblies(m, shared_cache), assembled, strict=True)
+            for slots, (_, minimal) in walked:
+                condition = slots_condition(mask, slots)
+                verdict = is_minimal_vanishing(from_subsidiary(slots))
+                assert condition == verdict.failing_condition, (render_minvan(m), slots)
                 assert minimal == verdict.minimal, (render_minvan(m), slots)
-                out[verdict.failing_condition] += 1
+                out[condition] += 1
         return out
 
     assert failures(candidates) == {
@@ -204,9 +213,9 @@ def test_every_slot_option_lies_in_mu_q(db16, shared_cache):
 
 def test_assembled_forms_match_canonicalize(db16, shared_cache):
     # The exponent-native assembler against the kernels it replaced: every
-    # assembly of every candidate through weight 16, and of the
-    # uncertifiable weight-13 candidate, built as a sorou and canonicalized
-    # at its own order.
+    # rank tuple yielded for every candidate through weight 16, and for the
+    # uncertifiable weight-13 candidate, read as roots, is the assembly
+    # built as a sorou and canonicalized at its own order.
     candidates = [
         m for w in range(2, 17) for m in _candidates(db16, GenerationConfig(target_weight=w))
     ]
@@ -214,17 +223,28 @@ def test_assembled_forms_match_canonicalize(db16, shared_cache):
     def assemblies(types):
         count = 0
         for m in types:
-            walked = _assemblies(m.p, *_slot_pools(m, shared_cache))
-            pairs = zip(walked, _iter_assembled(m, shared_cache), strict=True)
-            for (slots, minimal), (form, assembled_minimal) in pairs:
-                s = from_subsidiary(slots)
-                assert form == canonicalize(s), (render_minvan(m), slots)
-                assert assembled_minimal == minimal
+            _, roots = _rank_table(_modulus(m, shared_cache))
+            assembled = _iter_assembled(m, shared_cache)
+            walked = zip(slot_assemblies(m, shared_cache), assembled, strict=True)
+            for slots, (ranks, _) in walked:
+                form = tuple(roots[i] for i in ranks)
+                assert form == canonicalize(from_subsidiary(slots)), (render_minvan(m), slots)
                 count += 1
         return count
 
     assert assemblies(candidates) == 5977  # 103 candidates
     assert assemblies([UNCERTIFIABLE]) == 8
+
+
+def test_cache_lines_rendered_from_ranks_match_the_roots(types_through_17, shared_cache):
+    # `.cache` lines are joined from a per-n text of each rank; rendering
+    # the class lists as roots must give the same line for every type
+    # through weight 17.
+    for m in types_through_17:
+        key = render_minvan(m)
+        roots = sorou_of_minvan_type(m, shared_cache)
+        from_ranks = cache_line(key, shared_cache.rendered(key))
+        assert from_ranks == cache_line(key, map(render_sorou, roots)), key
 
 
 def _refuse(*args):
@@ -234,16 +254,16 @@ def _refuse(*args):
 def test_fallback_builds_no_sorou(monkeypatch, db16, shared_cache):
     # Each type's own class list is left out of the cache, so the fallback
     # must assemble it; only its subtypes' lists are read.  The refused
-    # names are those `_iter_assembled` needs to form an assembled sorou.
-    classes = shared_cache.as_dict()
-    for name in ("least_rotation", "_rank_table"):
+    # names are the assembler and the rotation it ranks every assembly by.
+    classes = dict(shared_cache._classes)
+    for name in ("_iter_assembled", "least_rotation"):
         monkeypatch.setattr(enumeration, name, _refuse)
     for record in db16.records:
         key = render_type(record.type)
         cache = SorouCache()
         for k, v in classes.items():
             if k != key:
-                cache.put(k, v)
+                cache.put(k, *v)
         assert has_minimal_realization(record.type.components[0], cache)
     assert not has_minimal_realization(UNCERTIFIABLE, shared_cache)
 
@@ -285,7 +305,9 @@ def test_minimal_statistics_are_functions_of_the_order_profile(types_through_17,
     minimal_by_weight = Counter()
     by_profile = {}
     for m in types_through_17:
-        for s, minimal in dict(_iter_assembled(m, shared_cache)).items():
+        _, roots = _rank_table(_modulus(m, shared_cache))
+        for ranks, minimal in dict(_iter_assembled(m, shared_cache)).items():
+            s = tuple(roots[i] for i in ranks)
             minimal_by_weight[weight(s)] += minimal
             if minimal:
                 stats = root_statistics(s)

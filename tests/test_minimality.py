@@ -26,16 +26,20 @@ from minvan.minimality import (
     FAIL_COMMON_SUBVALUE,
     FAIL_INNER_VANISHING,
     FAIL_NOT_VANISHING,
+    OK_BIT,
     MinimalityVerdict,
     _has_vanishing_subsorou,
     _proper_subsorou_values,
+    assembly_criterion,
     decompose_into_minimal,
     is_minimal_vanishing,
     is_minimal_vanishing_bruteforce,
+    slots_condition,
 )
 from minvan.sorou import (
     SUBSET_GUARD_WEIGHT,
     canonicalize,
+    from_subsidiary,
     height,
     make_root,
     parse_sorou,
@@ -106,6 +110,34 @@ def test_common_subvalue_detected():
     v = is_minimal_vanishing(zero_slots)
     assert v.vanishing and not v.minimal
     assert v.failing_condition == FAIL_VALUE_ZERO_F0
+
+
+def test_a_slot_with_a_vanishing_subsorou_is_refused_whatever_it_shares():
+    # Slots of value 1 + nu_3 = nu_6 at p = 5.  x = nu_3^2 + 2 nu_6 has the
+    # vanishing proper subsorou nu_3^2 + nu_6, and none of its proper
+    # subsorou values (nu_3^2, nu_6, 0, 2 nu_6) is one of f0's (1, nu_3);
+    # y = nu_6 has no proper subsorou.  Without x, the slots share nothing,
+    # so x's mask must clear the ok bit, not keep it: the assembly is
+    # refused for x's vanishing subsorou.
+    f0, x, y = sorou([(1, 0), (3, 1)]), sorou([(3, 2), (6, 1), (6, 1)]), sorou([(6, 1)])
+    mask = assembly_criterion(f0, [x, y])
+    assert (mask(x), mask(y), mask(f0) & OK_BIT) == (0, OK_BIT, OK_BIT)
+    without_x = (f0, y, y, y, y)
+    assert slots_condition(mask, without_x) is None
+    assert is_minimal_vanishing(from_subsidiary(without_x)).minimal
+    slots = (f0, x, y, y, y)
+    assert slots_condition(mask, slots) == FAIL_INNER_VANISHING
+    assert is_minimal_vanishing(from_subsidiary(slots)).failing_condition == FAIL_INNER_VANISHING
+
+    # f0's own mask comes from the same call: an f0 with a vanishing proper
+    # subsorou (1 + 1 - 1, of value 1) has mask 0, and refuses the slots
+    # f0, 1, 1, 1, 1 that share no value.
+    f0, one = sorou([(1, 0), (1, 0), (2, 1)]), sorou([(1, 0)])
+    mask = assembly_criterion(f0, [one])
+    assert (mask(f0), mask(one)) == (0, OK_BIT)
+    slots = (f0, one, one, one, one)
+    assert slots_condition(mask, slots) == FAIL_INNER_VANISHING
+    assert is_minimal_vanishing(from_subsidiary(slots)).failing_condition == FAIL_INNER_VANISHING
 
 
 def test_bruteforce_examples():

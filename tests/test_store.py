@@ -16,6 +16,7 @@ from minvan.store import (
     write_csv_report,
     write_latex_report,
 )
+from minvan.sorou import render_sorou
 from minvan.typegen import GenerationConfig, generate_next_weight
 from minvan.types import parse_type, render_type
 
@@ -167,7 +168,7 @@ def _cache_text(data):
 
 def _lines(data):
     """The (key, line) stream `save_cache` takes for the class lists of data."""
-    return [(k, cache_line(k, data[k])) for k in sorted(data)]
+    return [(k, cache_line(k, map(render_sorou, data[k]))) for k in sorted(data)]
 
 
 def test_cache_round_trip(tmp_path, db16, shared_cache):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from minvan.arith import primes_upto
-from minvan.enumeration import _assemblies, _slot_pools, has_minimal_realization
+from minvan.enumeration import _iter_assembled, has_minimal_realization
 from minvan.sorou import canonicalize, sorou, weight
 from minvan.store import load_db
 from minvan.typegen import (
@@ -316,7 +316,7 @@ def test_slot_choices_decide_as_the_placement_walk(db16, shared_cache):
     dropped = _dropped_candidates(_truncated(db16, 12))
     verdicts = Counter()
     for m in candidates + sorted(dropped, key=minvan_key):
-        walked = any(minimal for _, minimal in _assemblies(m.p, *_slot_pools(m, shared_cache)))
+        walked = any(minimal for _, minimal in _iter_assembled(m, shared_cache))
         assert has_minimal_realization(m, shared_cache) == walked, render_minvan(m)
         verdicts[walked] += 1
     # 103 candidates: the 76 types of the table and 27 rejects; the 4 dropped
