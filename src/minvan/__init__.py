@@ -48,7 +48,6 @@ from minvan.typegen import (
     candidate_f0s,
     generate_next_weight,
     types_2pq_oracle,
-    typesum_pool,
 )
 from minvan.types import (
     MinVanType,

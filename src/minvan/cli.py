@@ -5,7 +5,9 @@ the embedded reference list), extend (generate further weights with
 statistics, shared among the cores the process may use), verify (certify
 one sorou), enumerate (all rotation classes of a type; it opens no file),
 report (CSV/LaTeX), phi (cyclotomic coefficients), plot (SVG unit
-circle).  Results go to stdout; timing and progress go to stderr.  Exit
+circle).  A statistics worker returns its records and its types' `.cache`
+lines, rendered in key order as this process renders its own share.
+Results go to stdout; timing and progress go to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 usage error.
 
 Without --db, a command reads its database path from the MINVAN_DB
@@ -104,9 +106,9 @@ def _lines(keys, cache: enumeration.SorouCache):
 
 def _worker_statistics(types: list, cache: enumeration.SorouCache):
     """In a forked worker: each type's `TypeRecord`, and their `_lines` in
-    key order, rendered longest type first, which keeps the peak least."""
+    key order, as the parent renders its own share."""
     records = [enumeration.type_statistics(m, cache) for m in types]
-    return records, sorted(_lines(map(render_minvan, types), cache))
+    return records, list(_lines(sorted(map(render_minvan, types)), cache))
 
 
 def _fork(work):

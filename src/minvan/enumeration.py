@@ -20,19 +20,19 @@ walk, with its pools (`_slot_pools`).
 An assembled sorou is never built as (order, power) roots: every assembly
 of a type lies in mu_n, n = `_modulus`, each slot option at each position
 is one (exponents, exponent bitmask, slot mask) triple built once per type,
-and `sorou.least_rotation` ranks the assembly's exponents, narrowing the
-candidate anchors as one bitmask for distinct terms.  A class is the sorted
-tuple of its terms' ranks in `sorou._rank_table(n)`, so classes are
+and `sorou.least_rotation` ranks the assembly's exponents.  A class is the
+sorted tuple of its terms' ranks in `sorou._rank_table(n)`, so classes are
 deduplicated and sorted as tuples of ints, which within one n is (order,
 power) order.
 
 Class lists are memoized per rendered type, in memory, as rank tuples: a
 run recomputes any list it needs, and builds roots only for a caller that
 asks for a class list.  `.cache` lines, and the order profiles that the
-statistics of a class are functions of, are read off per-n tables of the
-text and the order of each rank.  `type_statistics` puts the list of the
-type it records, which is the list `store.save_cache` writes out for that
-type; the lower lists certification puts are already in the file.
+statistics of a class are read off, come from per-n tables of the text
+and the order of each rank, so statistics build no root.
+`type_statistics` puts the list of the type it records, which is the list
+`store.save_cache` writes out for that type; the lower lists
+certification puts are already in the file.
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ from minvan.minimality import OK_BIT, assembly_criterion, slots_condition
 from minvan.sorou import (
     Sorou,
     _exponent_mask,
+    _order_parity,
     _rank_columns,
     _rank_table,
     distinct_permutations,
-    height,
     least_rotation,
     order,
-    parity,
-    relative_order,
     subtract,
 )
 from minvan.types import (
@@ -87,9 +85,6 @@ class SorouCache:
         n, classes = self._classes[key]
         texts = _rank_columns(n)[1]
         return ("+".join([texts[i] for i in s]) for s in classes)
-
-    def as_dict(self) -> dict[str, tuple[Sorou, ...]]:
-        return {key: self.get(key) for key in self._classes}
 
 
 def _as_sorou(n: int, classes: list[tuple[int, ...]]) -> tuple[Sorou, ...]:
@@ -230,27 +225,26 @@ def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
     realizations; the record's other columns follow from m and the parities.
 
     Each class is the least rotation `_iter_assembled` yields, which
-    contains the root 1, sorted first, as often as any term occurs.  So its
-    height is its count of order-1 terms, its relative order the lcm of its
-    term orders (1 is a term), and its parity the odd/even split of its
-    term orders (`parity` rotates by the first term, 1).  All three are
-    functions of the order profile (the sorted tuple of term orders, read
-    off the ranks), so they are read on one class per profile, as roots:
-    the 12,732 minimal classes of weights 13 to 17 have 229 profiles.
+    contains the root 1, sorted first, as often as any term occurs.  So all
+    three are functions of its order profile, the sorted tuple of its term
+    orders read off the ranks: its relative order is the lcm of the profile
+    (1 is a term), its height the profile's count of order 1, and its parity
+    the odd/even split of the profile (`parity` rotates by the first term,
+    1).  They are read once per profile, and no root is built: the 12,732
+    minimal classes of weights 13 to 17 have 229 profiles.
     """
     key = render_minvan(m)
     n, _, verdicts = _enumerate(m, key, cache)
     orders = _rank_columns(n)[0]
-    reps = {tuple([orders[i] for i in s]): s for s, minimal in verdicts.items() if minimal}
-    if not reps:
+    profiles = {tuple([orders[i] for i in s]) for s, minimal in verdicts.items() if minimal}
+    if not profiles:
         raise ValueError(f"type has no minimal realization: {key}")
     w = type_weight(TypeSum((m,)))
-    if any(len(profile) != w for profile in reps):
+    if any(len(profile) != w for profile in profiles):
         raise AssertionError("minimal realization with wrong weight")
-    reps = _as_sorou(n, reps.values())  # one per profile
     return TypeRecord(
         type=TypeSum((m,)),
-        relative_orders=frozenset(map(relative_order, reps)),
-        parities=frozenset(map(parity, reps)),
-        heights=frozenset(map(height, reps)),
+        relative_orders=frozenset([math.lcm(*profile) for profile in profiles]),
+        parities=frozenset(map(_order_parity, profiles)),
+        heights=frozenset([profile.count(1) for profile in profiles]),
     )

@@ -7,9 +7,10 @@ order`` and ``gcd(order, power) == 1``; the pair ``(1, 0)`` is the root 1 and
 immutable and safe to share across threads.
 
 This module is purely structural: rotation, orders, parity, subtraction,
-subsorou streams, canonical forms under rotation, and the subsidiary
-decomposition at the top prime, both computed on term exponents.  Deciding
-whether a sorou vanishes lives in :mod:`minvan.cyclotomic`.
+subsorou streams, canonical forms under rotation (one least-rotation walk,
+`least_rotation`), and the subsidiary decomposition at the top prime, both
+computed on term exponents.  Deciding whether a sorou vanishes lives in
+:mod:`minvan.cyclotomic`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from collections import Counter
 from functools import cache
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from minvan.arith import is_squarefree, prime_factors
 
@@ -176,8 +177,13 @@ def _parity(r: int, es: list[int]) -> tuple[int, int]:
     """`parity` on `_anchored(s)`: the term of exponent a has order r / gcd(r, a)."""
     if not is_squarefree(r):
         raise ValueError("parity undefined: relative order not squarefree")
-    odd = sum([r // math.gcd(r, a) & 1 for a in es])
-    return (max(odd, len(es) - odd), min(odd, len(es) - odd))
+    return _order_parity([r // math.gcd(r, a) for a in es])
+
+
+def _order_parity(orders: Sequence[int]) -> tuple[int, int]:
+    """Unordered (max, min) count of odd versus even orders."""
+    odd = sum([o & 1 for o in orders])
+    return (max(odd, len(orders) - odd), min(odd, len(orders) - odd))
 
 
 def subtract(a: Sorou, b: Sorou) -> Sorou:
@@ -234,7 +240,7 @@ def _rank_exponents(n: int) -> tuple[int, ...]:
 def _rank_columns(n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """(orders, `render_sorou` texts) of the roots of `_rank_table(n)`, in rank order."""
     roots = _rank_table(n)[1]
-    return tuple([o for o, _ in roots]), tuple([f"{o}:{p}" for o, p in roots])
+    return tuple([o for o, _ in roots]), tuple(map(_root_text, roots))
 
 
 def _exponent_mask(es: Iterable[int]) -> int:
@@ -252,38 +258,31 @@ def least_rotation(es: list[int], n: int, mask: int = 0) -> list[int]:
 
     Rotating by the inverse of the term nu_n^a subtracts a, so anchor a's
     rotation holds rank r iff nu_n^(a + d_r) is a term, d_r the exponent of
-    rank r (`_rank_exponents`).  The anchors are pruned by a walk over the
-    ranks r = 1, 2, ... before any rotation is sorted, and the walk visits
-    at most len(es) ranks: its lookups are then no more than the unpruned
-    minimum's, where an uncapped walk at a large n (a sum whose terms are
-    all far apart) could visit thousands of ranks.  The anchors left at the
-    cap are compared by sorting their rotations.
+    rank r (`_rank_exponents`).
 
-    * Distinct terms, n <= 256 len(es): the mask walk.  Every rotation is
-      a set of len(es) ranks, and of two such sets the one holding the
-      least rank of their difference sorts first.  So a rank that some but
-      not all surviving anchors reach keeps exactly those that reach it.
-      The survivors are one bitmask `live`, all terms at the start, and
-      `live & (tt >> d_r)` is those that reach r, tt the terms' mask doubled
-      to 2n bits so that the shift wraps around mod n.  The walk stops
-      when one anchor is left, or when the survivors have reached
-      len(es) - 1 ranks: they agree on every rank visited, so their
-      rotations are then equal and any one is least.  Each step shifts a
-      2n-bit integer, which past about 256 bits per term costs more than
-      probing each anchor (at n = 34650 a shift costs about 30 probes).
-    * Repeated terms, or a larger n: the first-reach walk.  Only a term of
-      maximal multiplicity can anchor the least rotation, since rank 0
-      (the root 1) is the least rank and its count is the anchor's
-      multiplicity.  Among those anchors, the second distinct rank of
-      anchor a's rotation is the least rank a reaches, so the first rank
-      that some anchor reaches keeps exactly the anchors that reach it.
-      Each anchor is probed in a set of the terms.
+    * Distinct terms: the mask walk.  Every rotation is a set of len(es)
+      ranks, and of two such sets the one holding the least rank of their
+      difference sorts first.  So a rank that some but not all surviving
+      anchors reach keeps exactly those that reach it.  The survivors are
+      one bitmask `live`, all terms at the start, and `live & (tt >> d_r)`
+      is those that reach r, tt the terms' mask doubled to 2n bits so that
+      the shift wraps around mod n.  The walk visits the ranks r = 1, 2,
+      ... and stops when one anchor is left, or when the survivors have
+      reached len(es) - 1 ranks: they agree on every rank visited, so
+      their rotations are then equal and any one is least.  It visits at
+      most len(es) ranks, since at a large n, where the terms may lie far
+      apart, an uncapped walk could visit thousands; the anchors left then
+      are compared by sorting their rotations.
+    * Repeated terms: only a term of maximal multiplicity can anchor the
+      least rotation, since rank 0 (the root 1) is the least rank and its
+      count is the anchor's multiplicity.  Those anchors' rotations are
+      compared by sorting.
 
     `rank[e - a]` is `rank[(e - a) % n]` by Python's negative indexing.
     """
     rank, _ = _rank_table(n)
     w = len(es)
-    if n <= 256 * w and (t := mask or _exponent_mask(es)).bit_count() == w:
+    if (t := mask or _exponent_mask(es)).bit_count() == w:
         live, tt, need = t, t | t << n, w - 1
         for d in _rank_exponents(n)[1 : w + 1]:
             reached = live & (tt >> d)
@@ -301,17 +300,9 @@ def least_rotation(es: list[int], n: int, mask: int = 0) -> list[int]:
             return sorted([rank[e - a] for e in es])
         anchors = [e for e in es if live >> e & 1]
     else:
-        anchors = list(dict.fromkeys(es))
-        if len(anchors) < w:
-            top = max(map(es.count, anchors))
-            anchors = [a for a in anchors if es.count(a) == top]
-        if len(anchors) > 2:
-            terms = set(es)
-            for d in _rank_exponents(n)[1 : w + 1]:
-                reached = [a for a in anchors if (a + d) % n in terms]
-                if reached:
-                    anchors = reached
-                    break
+        counts = Counter(es)
+        top = max(counts.values())
+        anchors = [a for a, c in counts.items() if c == top]
     return min(sorted([rank[e - a] for e in es]) for a in anchors)
 
 
@@ -323,19 +314,14 @@ def canonicalize(s: Sorou) -> Sorou:
     to be the inverse of a term.
 
     Every term and every anchored rotation lives in N = order(s), so terms
-    are exponents mod N and `least_rotation` finds the least anchored
-    rotation on them.  It first prunes the anchors, exactly, by a walk
-    over the ranks capped at weight(s) ranks: for distinct terms at an
-    order of at most 256 weight(s), a bitmask of the surviving anchors
-    narrowed at every rank that some but not all of them reach; otherwise
-    the terms of maximal multiplicity, narrowed at the first rank any of
-    them reaches.  Ranks preserve (order, power) order, so the least sorted
-    rank list is the least rotation.
+    are exponents mod N, and `least_rotation` finds the least anchored
+    rotation on them.  Ranks preserve (order, power) order, so the least
+    sorted rank list is the least rotation.
 
     The result holds the root 1, which sorts first, as often as any term
     occurs, so `parity`, `height` and `relative_order` of a least rotation
-    depend only on its term orders: `enumeration.type_statistics` calls
-    them once per order profile.
+    depend only on its term orders: `enumeration.type_statistics` reads
+    them off those orders.
     """
     if not s:
         raise ValueError("empty sorou")

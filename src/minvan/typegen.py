@@ -66,16 +66,12 @@ def _f0_family_representative(f0: Sorou) -> Sorou:
     )
 
 
-def candidate_f0s(w: int, p: int, collapse: bool) -> list[Sorou]:
-    """Weight-w candidates for the smallest subsidiary sorou at top prime p:
-    1 + nu_Q^{e_1} + ... over the full exponent range, Q the product of
-    primes below p, excluding any f0 with a vanishing nonempty subsorou;
-    with collapse, one f0 per Galois family."""
-    return list(_candidate_f0s(w, p, collapse))
-
-
 @functools.cache  # one weight asks once per argument; weights 2-20 ask 242 times for 26
-def _candidate_f0s(w: int, p: int, collapse: bool) -> tuple[Sorou, ...]:
+def candidate_f0s(w: int, p: int, collapse: bool) -> tuple[Sorou, ...]:
+    """Weight-w candidates for the smallest subsidiary sorou at top prime p,
+    sorted: 1 + nu_Q^{e_1} + ... over the full exponent range, Q the product
+    of primes below p, excluding any f0 with a vanishing nonempty subsorou;
+    with collapse, one f0 per Galois family."""
     if w == 1:
         return ((ONE,),)
     q = math.prod(primes_below(p))
@@ -119,20 +115,14 @@ def _types_below(p: int, db) -> tuple[list[MinVanType], list[int]]:
 def _typesum_pool(
     below: tuple[list[MinVanType], list[int]], total_weight: int, max_components: int
 ) -> list[TypeSum]:
-    """`typesum_pool`, drawn from `_types_below` of its head, which
-    generation builds once per head."""
+    """All type sums of exactly total_weight, at most max_components
+    components, drawn from `_types_below` of a head p: the classified
+    minimal types with top prime below p, which generation sorts once per
+    head."""
     types, weights = below
     start = bisect.bisect_left(weights, -total_weight, key=operator.neg)  # skip heavier types
     sums = _multisets(types[start:], weights[start:], total_weight, max_components)
     return sorted((TypeSum(c) for c in sums if c), key=sum_key)
-
-
-def typesum_pool(
-    total_weight: int, p: int, max_components: int, db
-) -> list[TypeSum]:
-    """All type sums of exactly total_weight built from classified minimal
-    types with top prime below p, at most max_components components."""
-    return _typesum_pool(_types_below(p, db), total_weight, max_components)
 
 
 def _is_pure_r2_sum(t: TypeSum) -> bool:

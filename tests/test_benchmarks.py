@@ -81,9 +81,10 @@ def quarter_turn_sums():
 @pytest.fixture(scope="module")
 def order_34650_exponents():
     """Exponents mod 34650 of the weight-18 sum nu R_7 + nu^2 R_11 of
-    tests/test_cyclotomic.py (18 tied anchors; the walk reaches nu_7 at rank
-    10 and keeps 7) and of 2 R_11 rotated (11 tied anchors; nu_11 has rank
-    26, past the walk's cap of 22 ranks, so all 11 are kept)."""
+    tests/test_cyclotomic.py (distinct terms: the mask walk reaches nu_7 at
+    rank 10, keeps 7 anchors and sorts their rotations after 18 ranks) and
+    of 2 R_11 rotated (repeated terms: the 11 anchors of top multiplicity
+    are compared, with no walk)."""
     n = 34650
     s = sorou([(n, 1 + k * n // 7) for k in range(7)] + [(n, 2 + k * n // 11) for k in range(11)])
     assert order(s) == n

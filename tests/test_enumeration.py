@@ -316,6 +316,23 @@ def test_minimal_statistics_are_functions_of_the_order_profile(types_through_17,
     assert sum(len(profile) >= 13 for profile in by_profile) == 229
 
 
+def test_statistics_match_the_root_statistics_of_every_minimal_class(
+    monkeypatch, types_through_17, shared_cache
+):
+    # The old path as the oracle: `relative_order`, `parity` and `height` on
+    # roots, over every minimal class `_iter_assembled` yields, give the
+    # columns `type_statistics` reads off order profiles, building no root.
+    expected = []
+    for m in types_through_17:
+        _, roots = _rank_table(_modulus(m, shared_cache))
+        minimal = [tuple(roots[i] for i in s) for s, ok in _iter_assembled(m, shared_cache) if ok]
+        columns = (frozenset(map(f, minimal)) for f in (relative_order, parity, height))
+        expected.append((T(m), *columns))
+    monkeypatch.setattr(enumeration, "_as_sorou", _refuse)
+    records = [type_statistics(m, shared_cache) for m in types_through_17]
+    assert [(r.type, r.relative_orders, r.parities, r.heights) for r in records] == expected
+
+
 def test_cold_cache_rebuilds_every_db16_record(db16):
     cache = SorouCache()
     assert [type_statistics(r.type.components[0], cache) for r in db16.records] == db16.records

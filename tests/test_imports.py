@@ -9,7 +9,9 @@ library code outside its own definition, and a public one by library code
 outside its own definition or by a test, demo or benchmark script (a
 re-export does not count).  The ``cli.cmd_*`` handlers are exempt, because
 ``main`` looks them up by name.  A last test keeps the modules that only
-a statistics fan-out needs out of a plain ``import minvan.cli``.
+a statistics fan-out needs out of a plain ``import minvan.cli``, and one
+checks the code-line counter (``tests/code_lines.py``) that library sizes
+are reported with.
 """
 
 import ast
@@ -21,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import minvan
+
+from code_lines import code_lines
 
 MODULES = sorted(p for p in Path(minvan.__file__).parent.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +49,14 @@ def unused_imports(source: str) -> list[str]:
 def test_detects_an_unused_import():
     source = "import os\nfrom math import gcd, lcm\nprint(gcd(4, 6))\n"
     assert unused_imports(source) == ["line 1: os", "line 2: lcm"]
+
+
+def test_counts_code_lines_only():
+    source = (
+        '"""Module\ndocstring."""\n\n# a comment\nimport os  # trailing\n\n\n'
+        'def f():\n    """Doc."""\n    x = """not a\n    docstring"""\n    return (x,\n            os)\n'
+    )
+    assert code_lines(source) == 6
 
 
 def _names(node: ast.AST, strings: bool = False) -> set[str]:

@@ -495,8 +495,8 @@ def least_rotation_by_definition(es, n):
 
 def exhausts_walk(es, n):
     """More than two anchors tie on multiplicity and none reaches another
-    term within len(es) ranks, so the routine's walk falls back to all of
-    them."""
+    term within len(es) ranks, so no walk over the first len(es) ranks
+    could narrow them: all of them go to the final comparison."""
     counts = Counter(es)
     top = max(counts.values())
     anchors = [a for a, c in counts.items() if c == top]
@@ -548,6 +548,16 @@ def test_least_rotation_matches_definition(case):
         ([0, 1, 3], 6, False),
         ([1, 4, 106], 210, False),
         ([0, 70, 124, 140], 210, False),
+        # distinct terms at over 256 bits per term, more than two anchors
+        # left for the final comparison: R_11 and R_7 rotated, R_3 R_5
+        # rotated (whose anchors all reach the ranks of nu_3 and nu_5), all
+        # of whose rotations are equal, and runs, whose rotations differ
+        ([(2 + 3150 * k) % 34650 for k in range(11)], 34650, True),
+        ([(7 + 11550 * j + 6930 * k) % 34650 for j in range(3) for k in range(5)], 34650, False),
+        ([(5 + 660 * k) % 4620 for k in range(7)], 4620, True),
+        ([(1 + 1540 * j + 924 * k) % 4620 for j in range(3) for k in range(5)], 4620, False),
+        ([2, 0, 1], 34650, True),
+        ([4619, 0, 1, 2], 4620, True),
     ],
 )
 def test_least_rotation_on_ties_and_exhausted_walks(es, n, exhausts):
@@ -557,11 +567,11 @@ def test_least_rotation_on_ties_and_exhausted_walks(es, n, exhausts):
 
 @st.composite
 def distinct_exponent_sets(draw):
-    """(es, n): distinct exponents at orders where the mask walk runs
-    (up to 2310, and 4620 from 19 terms) or gives way to the first-reach
-    walk (34650, and 4620 below 19 terms).  Random sets; rotated cosets of
-    a prime's roots, where every anchor ties; and runs of consecutive
-    exponents, whose differences have large rank and so exhaust the walk."""
+    """(es, n): distinct exponents, which the mask walk ranks, at small
+    orders and at 4620 and 34650, where it shifts masks of hundreds to
+    thousands of bits per term.  Random sets; rotated cosets of a prime's
+    roots, where every anchor ties; and runs of consecutive exponents,
+    whose differences have large rank and so exhaust the walk."""
     n = draw(st.sampled_from((6, 12, 30, 60, 210, 2310, 4620, 34650)))
     kind = draw(st.sampled_from(("random", "cosets", "run")))
     if kind == "cosets":

@@ -12,10 +12,11 @@ from minvan.store import load_db
 from minvan.typegen import (
     GenerationConfig,
     _candidates,
+    _types_below,
+    _typesum_pool,
     candidate_f0s,
     generate_next_weight,
     types_2pq_oracle,
-    typesum_pool,
 )
 from minvan.types import (
     MinVanType,
@@ -89,8 +90,8 @@ def test_weight21_subtypes_of_weight_twice_f0_match_the_brute_force_draw(db16):
 
 
 def test_candidate_f0s_weight1():
-    assert candidate_f0s(1, 7, True) == [((1, 0),)]
-    assert candidate_f0s(1, 2, True) == [((1, 0),)]
+    assert candidate_f0s(1, 7, True) == (((1, 0),),)
+    assert candidate_f0s(1, 2, True) == (((1, 0),),)
 
 
 def test_candidate_f0s_weight2_top7():
@@ -123,10 +124,11 @@ def test_uncollapsed_generation_counts(db16, shared_cache):
 
 
 def test_typesum_pool(db16):
-    assert [render_type(t) for t in typesum_pool(3, 7, 1, db16)] == ["(R3;1:0)"]
-    pool5 = typesum_pool(5, 7, 2, db16)
+    below7 = _types_below(7, db16)
+    assert [render_type(t) for t in _typesum_pool(below7, 3, 1)] == ["(R3;1:0)"]
+    pool5 = _typesum_pool(below7, 5, 2)
     assert {render_type(t) for t in pool5} == {"(R5;1:0)", "(R3;1:0)&(R2;1:0)"}
-    pool6 = typesum_pool(6, 7, 1, db16)
+    pool6 = _typesum_pool(below7, 6, 1)
     assert {render_type(t) for t in pool6} == {"(R5;1:0;(R3;1:0))"}
 
 
@@ -178,7 +180,7 @@ def test_certification_shares_the_statistics_cache(monkeypatch):
     shared = generate_next_weight(db13, GenerationConfig(target_weight=14), cache)
     assert fallbacks and all(c is cache for c in fallbacks)
     # no candidate's class list was stored, rejected or not
-    assert all(type_weight(parse_type(key)) <= 13 for key in cache.as_dict())
+    assert all(type_weight(parse_type(key)) <= 13 for key in cache._classes)
     assert shared == generate_next_weight(db13, GenerationConfig(target_weight=14))
 
 
@@ -276,7 +278,7 @@ def _dropped_candidates(db12) -> set[MinVanType]:
             for x in parts[1:]:
                 sums = [
                     t
-                    for t in typesum_pool(x + w0, p, w0, db12)
+                    for t in _typesum_pool(_types_below(p, db12), x + w0, w0)
                     if not t.is_minimal_claim
                     and not all(m.p == 2 and not m.subtypes for m in t.components)
                 ]
