@@ -27,6 +27,7 @@ import time
 from functools import cache
 
 from minvan import enumeration, store, typegen
+from minvan.arith import is_squarefree
 from minvan.cyclotomic import cyclotomic_poly
 from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
@@ -253,15 +254,11 @@ def cmd_verify(args) -> int:
     print(f"order: {order(s)}")
     r, es = _anchored(s)
     print(f"relative order: {r}")
-    try:
-        print(f"top prime: {_top_prime(r)}")
-    except ValueError:
-        pass
-    try:
+    if is_squarefree(r):
+        if r > 1:
+            print(f"top prime: {_top_prime(r)}")
         a, b = _parity(r, es)
         print(f"parity: ({a},{b})")
-    except ValueError:
-        pass
     if verdict.minimal:
         t = TypeSum((_infer_minvan(s),))  # infer_type would certify s again
         print(f"type: {render_type(t)}")

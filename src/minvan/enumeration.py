@@ -28,8 +28,8 @@ power) order.
 Class lists are memoized per rendered type, in memory, as rank tuples: a
 run recomputes any list it needs, and builds roots only for a caller that
 asks for a class list.  `.cache` lines, and the order profiles that the
-statistics of a class are read off, come from per-n tables of the text
-and the order of each rank, so statistics build no root.
+statistics of a class are read off, come from the texts and orders columns
+of `sorou._rank_table(n)`, so statistics build no root.
 `type_statistics` puts the list of the type it records, which is the list
 `store.save_cache` writes out for that type; the lower lists
 certification puts are already in the file.
@@ -47,7 +47,6 @@ from minvan.sorou import (
     Sorou,
     _exponent_mask,
     _order_parity,
-    _rank_columns,
     _rank_table,
     distinct_permutations,
     least_rotation,
@@ -81,15 +80,15 @@ class SorouCache:
 
     def rendered(self, key: str) -> Iterator[str]:
         """The classes of key as `render_sorou` renders them, lazily, joined
-        from the text of each rank (`sorou._rank_columns`)."""
+        from the text of each rank (the texts column of `sorou._rank_table`)."""
         n, classes = self._classes[key]
-        texts = _rank_columns(n)[1]
+        _, _, _, _, texts = _rank_table(n)
         return ("+".join([texts[i] for i in s]) for s in classes)
 
 
 def _as_sorou(n: int, classes: list[tuple[int, ...]]) -> tuple[Sorou, ...]:
     """Rank tuples at n as sorou."""
-    _, roots = _rank_table(n)
+    _, roots, _, _, _ = _rank_table(n)
     return tuple([tuple([roots[i] for i in s]) for s in classes])
 
 
@@ -235,7 +234,7 @@ def type_statistics(m: MinVanType, cache: SorouCache) -> TypeRecord:
     """
     key = render_minvan(m)
     n, _, verdicts = _enumerate(m, key, cache)
-    orders = _rank_columns(n)[0]
+    _, _, _, orders, _ = _rank_table(n)
     profiles = {tuple([orders[i] for i in s]) for s, minimal in verdicts.items() if minimal}
     if not profiles:
         raise ValueError(f"type has no minimal realization: {key}")

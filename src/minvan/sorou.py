@@ -11,13 +11,18 @@ subsorou streams, canonical forms under rotation (one least-rotation walk,
 `least_rotation`), and the subsidiary decomposition at the top prime, both
 computed on term exponents.  Deciding whether a sorou vanishes lives in
 :mod:`minvan.cyclotomic`.
+
+It keeps one memo per question: `_rank_table(n)` answers "which root has
+rank i at order n?" with every column a caller reads (rank, root, exponent,
+order, text), and `_chunk_root` answers "which root does this term text
+name?" for `parse_sorou`, bounded like the other memos `verify` reads.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -70,47 +75,40 @@ def sorou(terms: Iterable[tuple[int, int]]) -> Sorou:
 
 MAX_ORDER = 10**24  # `parse_sorou`'s bound: factoring an order below it takes under 1 s
 
-# Chunk -> root memo of `parse_sorou` (the f0 of each type `load_db` parses,
-# each `verify` query), and root -> text memo of `render_sorou` (the terms
-# `verify` and `enumerate` print).  Only parsed chunks are stored, so a bad
-# term raises (with its position) on every parse.
-_CHUNK_ROOTS: dict[str, Root] = {}
-
 
 def parse_sorou(text: str) -> Sorou:
     """Parse the ``ORDER:POWER(+ORDER:POWER)*`` grammar; terms are reduced
-    and sorted as by `sorou`.  A sum of order above MAX_ORDER is refused."""
-    try:
-        terms = sorted(map(_CHUNK_ROOTS.__getitem__, text.split("+")))
-    except KeyError:  # some chunk is new
-        terms = _parse_terms(text)
-    if math.lcm(*[o for o, _ in terms]) > MAX_ORDER:
-        raise ValueError(f"sorou order is above the bound MAX_ORDER = {MAX_ORDER:.0e}")
-    return tuple(terms)
-
-
-def _parse_terms(text: str) -> list[Root]:
-    """The sorted terms of text, each chunk parsed, or rejected with its position."""
+    and sorted as by `sorou`.  A bad term is refused with its position, and
+    a sum of order above MAX_ORDER is refused."""
     if not text:
         raise ValueError("sorou parse error at position 0: empty text")
     terms = []
     pos = 0
     for chunk in text.split("+"):
-        root = _CHUNK_ROOTS.get(chunk)
-        if root is None:
-            o, sep, p = chunk.partition(":")
-            if not sep or not o.isdigit() or not p.isdigit():
-                raise ValueError(f"sorou parse error at position {pos}: bad term {chunk!r}")
-            if int(o) <= 0:
-                raise ValueError(f"sorou parse error at position {pos}: zero order")
-            root = _CHUNK_ROOTS[chunk] = make_root(int(o), int(p))
-        terms.append(root)
+        try:
+            terms.append(_chunk_root(chunk))
+        except ValueError as exc:
+            raise ValueError(f"sorou parse error at position {pos}: {exc}") from None
         pos += len(chunk) + 1
     terms.sort()
-    return terms
+    if math.lcm(*[o for o, _ in terms]) > MAX_ORDER:
+        raise ValueError(f"sorou order is above the bound MAX_ORDER = {MAX_ORDER:.0e}")
+    return tuple(terms)
 
 
-@cache
+@lru_cache(maxsize=4096)
+def _chunk_root(chunk: str) -> Root:
+    """The root one ``ORDER:POWER`` term names.  The memo holds the terms
+    of each f0 `load_db` parses and each `verify` query; an exception is
+    not cached, so a bad term is refused on every parse."""
+    o, sep, p = chunk.partition(":")
+    if not sep or not o.isdigit() or not p.isdigit():
+        raise ValueError(f"bad term {chunk!r}")
+    if int(o) <= 0:
+        raise ValueError("zero order")
+    return make_root(int(o), int(p))
+
+
 def _root_text(r: Root) -> str:
     return f"{r[0]}:{r[1]}"
 
@@ -220,27 +218,17 @@ def proper_nonempty_subsorous(s: Sorou) -> Iterator[Sorou]:
 
 
 @cache
-def _rank_table(n: int) -> tuple[tuple[int, ...], tuple[Root, ...]]:
-    """(rank, roots) for the roots of order dividing n: rank[e] is the place
-    of nu_n^e in (order, power) order, and roots[rank[e]] is that root."""
+def _rank_table(n: int) -> tuple[tuple, ...]:
+    """(rank, roots, exponents, orders, texts) for the roots of order
+    dividing n: rank[e] is the place of nu_n^e in (order, power) order, and
+    the other four give, in that order, each root, its exponent mod n, its
+    order and its `render_sorou` text."""
     roots = tuple(sorted(make_root(n, e) for e in range(n)))
+    exponents = tuple([p * (n // o) for o, p in roots])
     rank = [0] * n
-    for i, (o, p) in enumerate(roots):
-        rank[p * (n // o)] = i
-    return tuple(rank), roots
-
-
-@cache
-def _rank_exponents(n: int) -> tuple[int, ...]:
-    """The exponent mod n of each root of `_rank_table(n)`, in rank order."""
-    return tuple(p * (n // o) for o, p in _rank_table(n)[1])
-
-
-@cache
-def _rank_columns(n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """(orders, `render_sorou` texts) of the roots of `_rank_table(n)`, in rank order."""
-    roots = _rank_table(n)[1]
-    return tuple([o for o, _ in roots]), tuple(map(_root_text, roots))
+    for i, e in enumerate(exponents):
+        rank[e] = i
+    return tuple(rank), roots, exponents, tuple([o for o, _ in roots]), tuple(map(_root_text, roots))
 
 
 def _exponent_mask(es: Iterable[int]) -> int:
@@ -258,7 +246,7 @@ def least_rotation(es: list[int], n: int, mask: int = 0) -> list[int]:
 
     Rotating by the inverse of the term nu_n^a subtracts a, so anchor a's
     rotation holds rank r iff nu_n^(a + d_r) is a term, d_r the exponent of
-    rank r (`_rank_exponents`).
+    rank r (the exponents column of `_rank_table`).
 
     * Distinct terms: the mask walk.  Every rotation is a set of len(es)
       ranks, and of two such sets the one holding the least rank of their
@@ -280,11 +268,11 @@ def least_rotation(es: list[int], n: int, mask: int = 0) -> list[int]:
 
     `rank[e - a]` is `rank[(e - a) % n]` by Python's negative indexing.
     """
-    rank, _ = _rank_table(n)
+    rank, _, exponents, _, _ = _rank_table(n)
     w = len(es)
     if (t := mask or _exponent_mask(es)).bit_count() == w:
         live, tt, need = t, t | t << n, w - 1
-        for d in _rank_exponents(n)[1 : w + 1]:
+        for d in exponents[1 : w + 1]:
             reached = live & (tt >> d)
             if reached:
                 if reached != live:
@@ -326,7 +314,7 @@ def canonicalize(s: Sorou) -> Sorou:
     if not s:
         raise ValueError("empty sorou")
     n = order(s)
-    _, roots = _rank_table(n)
+    _, roots, _, _, _ = _rank_table(n)
     return tuple([roots[i] for i in least_rotation([p * (n // o) for o, p in s], n)])
 
 

@@ -196,24 +196,32 @@ def render_type(t: TypeSum) -> str:
     return "&".join(render_minvan(m) for m in t.components)
 
 
+# `parse_type`'s bound on nesting, checked before it recurses: along a
+# chain of subtypes each top prime is below the last, so a type nested d
+# levels deep has a top prime of at least the d-th prime (311 at d = 64).
+MAX_TYPE_DEPTH = 64
+
+
 def parse_type(text: str) -> TypeSum:
-    t, pos = _parse_typesum(text, 0)
+    t, pos = _parse_typesum(text, 0, 0)
     if pos != len(text):
         raise ValueError(f"type parse error at position {pos}: trailing text")
     return t
 
 
-def _parse_typesum(text: str, pos: int) -> tuple[TypeSum, int]:
+def _parse_typesum(text: str, pos: int, depth: int) -> tuple[TypeSum, int]:
+    if depth > MAX_TYPE_DEPTH:
+        raise ValueError(f"type parse error at position {pos}: nested too deeply, over {MAX_TYPE_DEPTH} levels")
     comps = []
-    m, pos = _parse_minvan(text, pos)
+    m, pos = _parse_minvan(text, pos, depth)
     comps.append(m)
     while pos < len(text) and text[pos] == "&":
-        m, pos = _parse_minvan(text, pos + 1)
+        m, pos = _parse_minvan(text, pos + 1, depth)
         comps.append(m)
     return TypeSum(tuple(comps)), pos
 
 
-def _parse_minvan(text: str, pos: int) -> tuple[MinVanType, int]:
+def _parse_minvan(text: str, pos: int, depth: int) -> tuple[MinVanType, int]:
     if not text.startswith("(R", pos):
         raise ValueError(f"type parse error at position {pos}: expected '(R'")
     pos += 2
@@ -232,7 +240,7 @@ def _parse_minvan(text: str, pos: int) -> tuple[MinVanType, int]:
     f0 = parse_sorou(text[start:pos])
     subtypes = []
     while pos < len(text) and text[pos] == ";":
-        t, pos = _parse_typesum(text, pos + 1)
+        t, pos = _parse_typesum(text, pos + 1, depth + 1)
         subtypes.append(t)
     if pos >= len(text) or text[pos] != ")":
         raise ValueError(f"type parse error at position {pos}: expected ')'")
@@ -308,7 +316,7 @@ def _rotations_containing(pool, target: Sorou):
     target and pool: 1/z is u = w - t0 for a term w of v, and the rotated
     roots are read from `_rank_table(n)`."""
     n = math.lcm(*{o for v in (target, *pool) for o, _ in v})
-    rank, roots = _rank_table(n)
+    rank, roots, _, _, _ = _rank_table(n)
     te = [p * (n // o) for o, p in target]
     t0, tcounts = te[0], Counter(te)
     seen = set()

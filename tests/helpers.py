@@ -55,6 +55,7 @@ from minvan.minimality import (
 )
 from minvan.sorou import (
     Sorou,
+    _chunk_root,
     canonicalize,
     distinct_permutations,
     from_subsidiary,
@@ -325,7 +326,7 @@ def slot_assemblies(m, cache):
 
 
 # The bounded memos of the questions `minvan verify` asks again.
-VERIFY_MEMOS = (minimality._failing_condition, types._infer_minvan)
+VERIFY_MEMOS = (minimality._failing_condition, types._infer_minvan, _chunk_root)
 
 
 def clear_verify_memos() -> None:

@@ -153,6 +153,38 @@ def test_verify_non_vanishing_exit_code(capsys):
     assert "minimal: False (not-vanishing)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, code, out",
+    [
+        # Relative order 1 is squarefree with no prime: a parity, no top prime.
+        (
+            "1:0+1:0",
+            1,
+            "sorou: 1:0+1:0\nvanishing: False\nminimal: False (not-vanishing)\n"
+            "weight: 2\nheight: 2\norder: 1\nrelative order: 1\nparity: (2,0)\n",
+        ),
+        # Relative order 4 is not squarefree: neither a top prime nor a parity.
+        (
+            "1:0+4:1+2:1+4:3",
+            1,
+            "sorou: 1:0+2:1+4:1+4:3\nvanishing: True\nminimal: False (inner-vanishing-subsorou)\n"
+            "weight: 4\nheight: 1\norder: 4\nrelative order: 4\n",
+        ),
+        (
+            "1:0+3:1+3:2",
+            0,
+            "sorou: 1:0+3:1+3:2\nvanishing: True\nminimal: True\n"
+            "weight: 3\nheight: 1\norder: 3\nrelative order: 3\ntop prime: 3\nparity: (3,0)\n"
+            "type: (R3;1:0)\ntype (pretty): R_3\n",
+        ),
+    ],
+    ids=["relative-order-1", "relative-order-4", "minimal-r3"],
+)
+def test_verify_prints_top_prime_and_parity_only_where_defined(text, code, out, capsys):
+    assert main(["verify", text]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_verify_parse_error_exit_code(capsys):
     assert main(["verify", "nonsense"]) == 2
 
@@ -183,6 +215,16 @@ def test_extend_reads_collapse_from_the_database(tmp_path, capsys):
     db = load_db(path)
     assert not db.collapse
     assert db.max_complete_weight == 15
+
+
+def test_enumerate_refuses_a_type_nested_too_deeply(capsys):
+    # 2,000 levels: parsing recursed once per level before any check, and
+    # failed with a RecursionError and a traceback.
+    start = time.perf_counter()
+    assert main(["enumerate", "(R3;1:0;" * 2000 + "(R2;1:0)" + ")" * 2000]) == 2
+    err = capsys.readouterr().err
+    assert "error: type parse error at position 520: nested too deeply, over 64 levels" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_command(capsys):

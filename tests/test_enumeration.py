@@ -223,7 +223,7 @@ def test_assembled_forms_match_canonicalize(db16, shared_cache):
     def assemblies(types):
         count = 0
         for m in types:
-            _, roots = _rank_table(_modulus(m, shared_cache))
+            _, roots, _, _, _ = _rank_table(_modulus(m, shared_cache))
             assembled = _iter_assembled(m, shared_cache)
             walked = zip(slot_assemblies(m, shared_cache), assembled, strict=True)
             for slots, (ranks, _) in walked:
@@ -305,7 +305,7 @@ def test_minimal_statistics_are_functions_of_the_order_profile(types_through_17,
     minimal_by_weight = Counter()
     by_profile = {}
     for m in types_through_17:
-        _, roots = _rank_table(_modulus(m, shared_cache))
+        _, roots, _, _, _ = _rank_table(_modulus(m, shared_cache))
         for ranks, minimal in dict(_iter_assembled(m, shared_cache)).items():
             s = tuple(roots[i] for i in ranks)
             minimal_by_weight[weight(s)] += minimal
@@ -324,7 +324,7 @@ def test_statistics_match_the_root_statistics_of_every_minimal_class(
     # columns `type_statistics` reads off order profiles, building no root.
     expected = []
     for m in types_through_17:
-        _, roots = _rank_table(_modulus(m, shared_cache))
+        _, roots, _, _, _ = _rank_table(_modulus(m, shared_cache))
         minimal = [tuple(roots[i] for i in s) for s, ok in _iter_assembled(m, shared_cache) if ok]
         columns = (frozenset(map(f, minimal)) for f in (relative_order, parity, height))
         expected.append((T(m), *columns))

@@ -8,10 +8,12 @@ library: a module-level ``_name`` function or class must be referenced by
 library code outside its own definition, and a public one by library code
 outside its own definition or by a test, demo or benchmark script (a
 re-export does not count).  The ``cli.cmd_*`` handlers are exempt, because
-``main`` looks them up by name.  A last test keeps the modules that only
-a statistics fan-out needs out of a plain ``import minvan.cli``, and one
-checks the code-line counter (``tests/code_lines.py``) that library sizes
-are reported with.
+``main`` looks them up by name.  A module-level ``_name`` (not a dunder)
+may not be bound to a mutable container, so that a memo is a ``functools``
+cache, whose policy shows where it is defined.  A last test keeps the
+modules that only a statistics fan-out needs out of a plain ``import
+minvan.cli``, and one checks the code-line counter
+(``tests/code_lines.py``) that library sizes are reported with.
 """
 
 import ast
@@ -150,6 +152,62 @@ def test_module_uses_its_imports(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_script_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "Counter"}
+
+
+def mutable_private_globals(source: str) -> list[str]:
+    """`line N: name` for each module-level single-underscore name bound to
+    a dict, list or set display or comprehension, or to a call of one of
+    MUTABLE_CALLS."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        called = isinstance(value, ast.Call) and (_names(value.func) & MUTABLE_CALLS)
+        if isinstance(value, MUTABLE_DISPLAYS) or called:
+            found += [
+                f"line {node.lineno}: {t.id}"
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")
+            ]
+    return found
+
+
+def test_detects_a_private_mutable_global():
+    source = (
+        "import collections\n"
+        "_MEMO: dict[str, int] = {}\n"
+        "_seen = _order = []\n"
+        "_squares = {n: n * n for n in range(4)}\n"
+        "_counts = collections.Counter()\n"
+        "_table = dict(a=1)\n"
+        "_BOUND = 64\n"
+        "_PRIMES = (2, 3)\n"
+        "_pending: list[int]\n"
+        "TABLE = {}\n"
+        "__all__ = ['TABLE']\n"
+    )
+    assert mutable_private_globals(source) == [
+        "line 2: _MEMO",
+        "line 3: _seen",
+        "line 3: _order",
+        "line 4: _squares",
+        "line 5: _counts",
+        "line 6: _table",
+    ]
+
+
+def test_library_keeps_no_private_mutable_global():
+    found = {module: mutable_private_globals(source) for module, source in _library_sources().items()}
+    assert {module: names for module, names in found.items() if names} == {}
 
 
 def test_importing_the_cli_loads_no_process_machinery():

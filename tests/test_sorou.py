@@ -13,6 +13,7 @@ from minvan.minimality import is_minimal_vanishing
 from minvan.sorou import (
     ONE,
     _exponent_mask,
+    _rank_table,
     canonicalize,
     distinct_permutations,
     from_subsidiary,
@@ -269,6 +270,17 @@ def test_parse_errors_name_the_term_and_its_position(text, message):
         with pytest.raises(ValueError) as exc:
             parse_sorou(text)
         assert str(exc.value) == "sorou parse error at " + message
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 210, 420, 2310, 4620])
+def test_rank_table_columns_agree(n):
+    rank, roots, exponents, orders, texts = _rank_table(n)
+    assert len(roots) == n and all(a < b for a, b in zip(roots, roots[1:]))
+    assert sorted(rank) == list(range(n))
+    assert all(rank[e] == i for i, e in enumerate(exponents))
+    assert all(make_root(n, e) == r for e, r in zip(exponents, roots))
+    assert list(orders) == [o for o, _ in roots]
+    assert list(texts) == [render_sorou((r,)) for r in roots]
 
 
 def test_sub_multisets_of_size():

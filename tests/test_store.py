@@ -1,6 +1,7 @@
 import heapq
 import os
 import re
+import time
 
 import pytest
 
@@ -94,6 +95,20 @@ def test_db_rejects_a_blank_line(db16, tmp_path, index):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"blank.db:{len(lines) if index is None else index + 1}: blank line"):
         load_db(str(path))
+
+
+def test_db_rejects_a_type_nested_too_deeply(db16, tmp_path):
+    path = tmp_path / "nested.db"
+    save_db(db16, str(path))
+    lines = path.read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[1] = "(R3;1:0;" * 2000 + "(R2;1:0)" + ")" * 2000
+    lines[1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"nested.db:2: type parse error at position 520: nested too deeply"):
+        load_db(str(path))
+    assert time.perf_counter() - start < 1.0
 
 
 ROW_7 = "7\t(R5;1:0;(R3;1:0);(R3;1:0))\t30\t(2;2;1;1;1)\t(4;3)\t1\tFalse"
