@@ -2,13 +2,12 @@
 
 Subcommands: bootstrap (self-generate weights 2..12 and check them against
 the embedded reference list), extend (generate further weights with
-statistics, shared among the cores the process may use), verify (certify
-one sorou), enumerate (all rotation classes of a type; it opens no file),
-report (CSV/LaTeX), phi (cyclotomic coefficients), plot (SVG unit
-circle).  A statistics worker returns its records and its types' `.cache`
-lines, rendered in key order as this process renders its own share.
-Results go to stdout; timing and progress go to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+statistics, each weight's computed in one process as its `.cache` lines
+are written), verify (certify one sorou), enumerate (all rotation classes
+of a type; it opens no file), report (CSV/LaTeX), phi (cyclotomic
+coefficients), plot (SVG unit circle).  Results go to stdout; timing and
+progress go to stderr.  Exit codes: 0 success, 1 verification failure, 2
+usage error.
 
 Without --db, a command reads its database path from the MINVAN_DB
 environment variable when it runs (default minvan.db).  `main` can be called
@@ -19,7 +18,6 @@ call.
 from __future__ import annotations
 
 import argparse
-import heapq
 import math
 import os
 import sys
@@ -89,129 +87,36 @@ def _default_db_path() -> str:
 
 def _load_db(path: str) -> store.TypeDatabase:
     if not os.path.exists(path):
-        raise SystemExit(f"error: database {path} does not exist (run bootstrap first)")
+        raise ValueError(f"database {path} does not exist (run bootstrap first)")
     return store.load_db(path)
 
 
-# A weight's statistics are shared with forked workers only when its types
-# have at least this many assemblies in all (`enumeration.assembly_count`),
-# about 10 ms of work on one core; a fork round trip costs about 1.5 ms.  In
-# alternating `extend --to 17` runs, neither 500 nor 2,000 did better.
-FORK_MIN_ASSEMBLIES = 1000
-
-
-def _lines(keys, cache: enumeration.SorouCache):
-    """(key, `cache_line`) of each key's class list, lazily, in keys' order."""
-    return ((k, store.cache_line(k, cache.rendered(k))) for k in keys)
-
-
-def _worker_statistics(types: list, cache: enumeration.SorouCache):
-    """In a forked worker: each type's `TypeRecord`, and their `_lines` in
-    key order, as the parent renders its own share."""
-    records = [enumeration.type_statistics(m, cache) for m in types]
-    return records, list(_lines(sorted(map(render_minvan, types)), cache))
-
-
-def _fork(work):
-    """Run work() in a forked child and return (pid, pipe), the pipe a
-    binary file that yields the pickled (True, result) or (False, exception),
-    or nothing if the child dies first.  The child ends with os._exit, so no
-    exit handler or stdio buffer of the parent runs in it."""
-    import pickle
-
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        try:
-            os.close(read)
-            with open(write, "wb") as fh:
-                try:
-                    result = work()
-                except BaseException as exc:  # raised again in the parent
-                    try:
-                        fh.write(pickle.dumps((False, exc)))
-                    except Exception:  # an exception class pickle cannot name
-                        fh.write(pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}"))))
-                else:
-                    pickle.dump((True, result), fh)
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _statistics(types: list, cache: enumeration.SorouCache):
-    """(records, lines): each type's `TypeRecord`, and a stream of the
-    lines of their class lists in key order.  With FORK_MIN_ASSEMBLIES
-    assemblies in all, they are shared among min(cores, types) processes,
-    this one and forked workers, longest first, each to the least loaded
-    process by assembly count.  A worker inherits cache, with the class
-    lists and slot options certification put there, and returns records
-    and rendered lines; records are sorted on commit and lines merge in key
-    order, so the output does not depend on the split.  A worker's
-    exception is raised here; every worker is killed and reaped first."""
-    costs = [enumeration.assembly_count(m, cache) for m in types]
-    # os.sched_getaffinity is Linux-only; elsewhere every type runs here
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(cores, len(types)) if sum(costs) >= FORK_MIN_ASSEMBLIES else 1
-    if k > 1:  # a run that never forks never loads these
-        import pickle
-        import signal
-
-    shares = [[] for _ in range(k)]
-    loads = [0] * k
-    for i in sorted(range(len(types)), key=costs.__getitem__, reverse=True):
-        j = loads.index(min(loads))
-        shares[j].append(types[i])
-        loads[j] += costs[i]
-    workers = []
-    try:
-        for share in shares[1:]:
-            workers.append(_fork(lambda share=share: _worker_statistics(share, cache)))
-        records = [enumeration.type_statistics(m, cache) for m in shares[0]]
-        lines = _lines(sorted(map(render_minvan, shares[0])), cache)
-        streams = [list(lines) if workers else lines]  # rendered while workers run, else as written
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                outcome = pickle.load(pipe) if pipe.peek(1) else None
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            if outcome is None:
-                raise RuntimeError(f"statistics worker {pid} ended with no result (exit {status})")
-            ok, result = outcome
-            if not ok:
-                raise result
-            records += result[0]
-            streams.append(result[1])
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return records, heapq.merge(*streams)
+def _stream(types: list, cache: enumeration.SorouCache, records: list):
+    """Yield (key, `cache_line`) for each of types in key order, after
+    appending its `TypeRecord` to records; rendering a class list takes it
+    out of the cache."""
+    for m in sorted(types, key=render_minvan):
+        records.append(enumeration.type_statistics(m, cache))
+        key = render_minvan(m)
+        yield key, store.cache_line(key, cache.rendered(key))
 
 
 def _extend_to(db: store.TypeDatabase, db_path: str, target: int) -> None:
     """Generate weights up to target; the database header says whether to
     collapse Galois families.  Class lists start empty and are recomputed as
-    needed; each weight writes the lines of its own types' class lists, each
-    rendered once, and the cache file keeps the lines of the database's
-    types.  The cache file is written before the database, so a run stopped
-    between the two writes resumes by recomputing that weight."""
+    needed.  Each weight's statistics run in the stream of its own types'
+    lines that `save_cache` writes, each list rendered once and then
+    dropped; the cache file keeps the lines of the database's types.  The
+    cache file is written before the database, so a run stopped anywhere
+    before the second write resumes by recomputing that weight."""
     cache = enumeration.SorouCache()
     for w in range(db.max_complete_weight + 1, target + 1):
         start = time.monotonic()
         cfg = typegen.GenerationConfig(target_weight=w)
         new_types = typegen.generate_next_weight(db, cfg, cache)
-        records, lines = _statistics(new_types, cache)
+        records = []
+        store.save_cache(db, _stream(new_types, cache, records), db_path + ".cache")
         db.commit_weight(w, records)
-        store.save_cache(db, lines, db_path + ".cache")
         store.save_db(db, db_path)
         print(f"weight {w}: {len(new_types)} types (cumulative {len(db.records)})")
         print(f"  weight {w} took {time.monotonic() - start:.2f}s", file=sys.stderr)
@@ -269,7 +174,7 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     t = parse_type(args.type)
     if not t.is_minimal_claim:
-        raise SystemExit("error: enumeration is defined for minimal types")
+        raise ValueError(f"enumeration is defined for minimal types, not the sum {render_type(t)}")
     classes = enumeration.sorou_of_minvan_type(t.components[0], enumeration.SorouCache())
     for s in classes:
         print(render_sorou(s))

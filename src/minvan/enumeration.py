@@ -30,9 +30,9 @@ run recomputes any list it needs, and builds roots only for a caller that
 asks for a class list.  `.cache` lines, and the order profiles that the
 statistics of a class are read off, come from the texts and orders columns
 of `sorou._rank_table(n)`, so statistics build no root.
-`type_statistics` puts the list of the type it records, which is the list
-`store.save_cache` writes out for that type; the lower lists
-certification puts are already in the file.
+`type_statistics` puts the list of the type it records, and `extend`
+renders it into `.cache` at once, which takes it out of the memo; the lower
+lists certification puts are already in the file.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class SorouCache:
 
     def rendered(self, key: str) -> Iterator[str]:
         """The classes of key as `render_sorou` renders them, lazily, joined
-        from the text of each rank (the texts column of `sorou._rank_table`)."""
-        n, classes = self._classes[key]
+        from the text of each rank (the texts column of `sorou._rank_table`).
+        The list leaves the memo: a later caller recomputes it."""
+        n, classes = self._classes.pop(key)
         _, _, _, _, texts = _rank_table(n)
         return ("+".join([texts[i] for i in s]) for s in classes)
 
@@ -129,19 +130,6 @@ def _modulus(m: MinVanType, cache: SorouCache) -> int:
     """The n with every assembly of m in mu_n: lcm(p, orders of f0 and options)."""
     options = (x for t in m.subtypes for x in _slot_options(t, m.f0, cache))
     return math.lcm(m.p, order(m.f0), *map(order, options))
-
-
-def assembly_count(m: MinVanType, cache: SorouCache) -> int:
-    """How many slot assemblies `_iter_assembled` walks for type m: the
-    distinct placements of its subtypes, the first fixed at slot 0, times
-    the product of their slot-pool sizes.  It builds the pools
-    (`_slot_options`), which certification has usually built already, and
-    no assembly."""
-    rest = Counter(m.subtypes[1:])
-    rest[None] = m.p - len(m.subtypes)  # the slots left to f0
-    counts = rest.values()
-    placements = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
-    return placements * math.prod(len(_slot_options(t, m.f0, cache)) for t in m.subtypes)
 
 
 def _iter_assembled(m: MinVanType, cache: SorouCache):

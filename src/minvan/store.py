@@ -62,7 +62,10 @@ class TypeDatabase:
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks, in order, to a temp file and rename it to path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minvan-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minvan-")
+    except OSError as exc:  # its message names the temp file, not path
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)

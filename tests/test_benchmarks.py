@@ -1,7 +1,7 @@
 """Micro-benchmarks of the hot kernels on fixed weight-16 inputs, of the
 statistics of the weight-16 types, of the statistics of the weight-17
-types with the rendering of their `.cache` lines (the work of one `extend`
-share), of the exact vanishing test on
+types streamed into their `.cache` lines (the work of one `extend`
+weight), of the exact vanishing test on
 order-4620 sums, of the least-rotation routine on its common case (the
 weight-17 assemblies at order 210) and on its worst cases at order 34650,
 of merging the weight <= 16 class lists into a cache file that already
@@ -19,7 +19,7 @@ import math
 
 import pytest
 
-from minvan.cli import _worker_statistics, main
+from minvan.cli import _stream, main
 from minvan.cyclotomic import is_vanishing
 from minvan.enumeration import sorou_of_minvan_type, type_statistics
 from minvan.minimality import is_minimal_vanishing
@@ -189,14 +189,20 @@ def test_bench_type_statistics(benchmark, weight16_records, shared_cache):
 
 
 def test_bench_weight17_statistics_and_cache_lines(benchmark, types_through_17, shared_cache):
-    """The 37 weight-17 types as one `extend` share runs them in-process
-    (`cli._worker_statistics`): enumeration, verdicts and statistics, then
-    their `.cache` lines, joined from the rank tuples."""
+    """The 37 weight-17 types as `extend` streams them (`cli._stream`):
+    each type's enumeration, verdicts and statistics, then its `.cache`
+    line, joined from the rank tuples."""
     types = types_through_17[76:]
-    records, lines = run(benchmark, lambda ts: _worker_statistics(ts, shared_cache), [types])[0]
+
+    def stream(ts):
+        records = []
+        return records, list(_stream(ts, shared_cache, records))
+
+    records, lines = run(benchmark, stream, [types])[0]
     assert [r.weight for r in records] == [17] * 37
     assert [k for k, _ in lines] == sorted(map(render_minvan, types))
-    assert all(line == cache_line(k, map(render_sorou, shared_cache.get(k))) for k, line in lines)
+    classes = {render_minvan(m): sorou_of_minvan_type(m, shared_cache) for m in types}
+    assert all(line == cache_line(k, map(render_sorou, classes[k])) for k, line in lines)
 
 
 def test_bench_save_cache(benchmark, db16, weight16_cache):

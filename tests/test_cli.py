@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from minvan.cli import BOOTSTRAP_FIXTURE, main
+from minvan.enumeration import SorouCache
 from minvan.minimality import is_minimal_vanishing
 from minvan.store import load_db
-from minvan.types import TypeSum, render_type
+from minvan.types import TypeSum, minvan_weight, render_type
 
 from helpers import WEIGHT21_TYPE_TEXT, clear_verify_memos
 
@@ -55,9 +56,34 @@ def test_extend_to_13(db_path, capsys):
     assert os.path.exists(db_path + ".cache")
 
 
-def test_extend_gap_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["extend", "--db", str(tmp_path / "none.db"), "--to", "13"])
+def test_extend_gap_rejected(tmp_path, capsys):
+    path = tmp_path / "none.db"
+    assert main(["extend", "--db", str(path), "--to", "13"]) == 2
+    assert capsys.readouterr().err == f"error: database {path} does not exist (run bootstrap first)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "--db", "{tmp}/none.db"], "database {tmp}/none.db does not exist (run bootstrap first)"),
+        (["enumerate", "(R2;1:0)&(R3;1:0)"], "enumeration is defined for minimal types, not the sum (R3;1:0)&(R2;1:0)"),
+        (["report", "--db", "{db}", "--out", "{tmp}/no/x.csv"], "cannot write {tmp}/no/x.csv: No such file or directory"),
+        (["bootstrap", "--db", "{tmp}/no/x.db"], "cannot write {tmp}/no/x.db.cache: No such file or directory"),
+    ],
+    ids=["report-no-db", "enumerate-a-sum", "report-out-no-dir", "bootstrap-db-no-dir"],
+)
+def test_a_usage_error_exits_2_with_one_line_naming_it(tmp_path, db_path, capsys, argv, message):
+    # A path that does not exist, or a sum given for a type, is a usage
+    # error: exit 2 and one `error:` line naming it, not a traceback about
+    # a temp file, and no file left behind.
+    def fill(text):
+        return text.format(tmp=tmp_path, db=db_path)
+
+    start = time.perf_counter()
+    assert main([fill(a) for a in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {fill(message)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_minimal(capsys):
@@ -204,7 +230,6 @@ def test_usage_error_exit_code(capsys):
 def test_extend_reads_collapse_from_the_database(tmp_path, capsys):
     from conftest import build_database
 
-    from minvan.enumeration import SorouCache
     from minvan.store import save_db
 
     # Weight 15 is the first weight where the family collapse merges types.
@@ -275,7 +300,7 @@ def test_enumerate_leaves_the_cache_alone(tmp_path, monkeypatch, capsys, straigh
 def test_extend_drops_a_cache_line_of_no_table_type(tmp_path, capsys, straight_build):
     # (R5;1:0;(R2;1:0)) is no table type: a line of its own, put into
     # .cache at its key's place, is gone after the next extend.
-    from minvan.enumeration import SorouCache, sorou_of_minvan_type
+    from minvan.enumeration import sorou_of_minvan_type
     from minvan.sorou import render_sorou
     from minvan.store import cache_line
     from minvan.types import parse_type
@@ -298,25 +323,63 @@ class Stopped(Exception):
     """A run stopped between two writes."""
 
 
-@pytest.mark.parametrize("write", ["save_db", "save_cache"])
+@pytest.mark.parametrize("write", ["save_db", "save_cache", "stream"])
 def test_extend_resumes_after_a_stop_at_either_write(tmp_path, monkeypatch, capsys, straight_build, write):
     # The .cache is written before minvan.db: a run stopped at either write
     # of weight 13 leaves the database at 12, and resuming recomputes 13.
+    # The statistics run inside the first write, as its lines stream out;
+    # a stop at the second type of weight 13 leaves both files as they
+    # were, and no temp file.
+    import minvan.enumeration as enumeration
     import minvan.store as store
 
     db = tmp_path / "minvan.db"
+    cache = tmp_path / "minvan.db.cache"
     assert main(["bootstrap", "--db", str(db)]) == 0
+    before = db.read_bytes(), cache.read_bytes()
+    statistics, seen = enumeration.type_statistics, []
 
     def stop(*args):
         raise Stopped(write)
 
+    def stop_at_the_second_type(m, c):
+        seen.append(minvan_weight(m))
+        if len(seen) == 2:
+            raise Stopped(write)
+        return statistics(m, c)
+
     with monkeypatch.context() as patch:
-        patch.setattr(store, write, stop)
+        if write == "stream":
+            patch.setattr(enumeration, "type_statistics", stop_at_the_second_type)
+        else:
+            patch.setattr(store, write, stop)
         with pytest.raises(Stopped):
             main(["extend", "--db", str(db), "--to", "14"])
     assert load_db(str(db)).max_complete_weight == 12
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".minvan-")] == []
+    if write == "stream":
+        assert seen == [13, 13]
+        assert (db.read_bytes(), cache.read_bytes()) == before
     assert main(["extend", "--db", str(db), "--to", "14"]) == 0
     assert (db.read_bytes(), Path(f"{db}.cache").read_bytes()) == straight_build[14]
+    capsys.readouterr()
+
+
+def test_extend_keeps_no_class_list_of_the_weight_it_wrote(tmp_path, monkeypatch, capsys, straight_build):
+    # Each type's class list leaves the memo once its .cache line is
+    # written; the next weight recomputes any list it needs.
+    import minvan.enumeration as enumeration
+
+    db = tmp_path / "minvan.db"
+    db.write_bytes(straight_build[14][0])
+    Path(f"{db}.cache").write_bytes(straight_build[14][1])
+    caches = []
+    monkeypatch.setattr(enumeration, "SorouCache", lambda: caches.append(SorouCache()) or caches[-1])
+    assert main(["extend", "--db", str(db), "--to", "15"]) == 0
+    [cache] = caches
+    weight15 = {render_type(r.type) for r in load_db(str(db)).records_for_weight(15)}
+    assert len(weight15) == 14 and cache._classes
+    assert weight15.isdisjoint(cache._classes)
     capsys.readouterr()
 
 
@@ -511,56 +574,19 @@ def test_build_through_weight_17_one_extend_per_weight_matches_the_benchmark_ref
 def test_build_through_weight_17_on_one_and_two_cores_matches_the_benchmark_reference(
     tmp_path, capsys, monkeypatch, cpus
 ):
-    # One core runs every type's statistics here; two fork one worker at the
-    # weights with FORK_MIN_ASSEMBLIES assemblies (15, 16 and 17).
-    import minvan.cli as cli
+    # `extend` runs every type's statistics in its own process, however
+    # many cores it may use: with os.fork refused, the bytes are the same.
+    def refuse():
+        raise AssertionError("extend forked")
 
-    forks = []
-    fork = cli._fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(cli, "_fork", lambda work: forks.append(work) or fork(work))
+    monkeypatch.setattr(os, "fork", refuse)
     _build_through_weight_17(tmp_path, capsys, [17])
-    assert len(forks) == (3 if len(cpus) == 2 else 0)
 
 
-def _worker_failure(where: str):
-    """A stand-in for type_statistics that fails as `where` says: in the
-    parent's share or in the worker's, with a ValueError, an exception
-    pickle cannot name, or an exit that sends no result."""
-    import minvan.enumeration as enumeration
-
-    statistics, parent = enumeration.type_statistics, os.getpid()
-
-    class Unpicklable(Exception):
-        pass
-
-    def failing(m, cache):
-        if (os.getpid() == parent) != (where == "parent"):
-            return statistics(m, cache)
-        if where == "worker-exit":
-            os._exit(3)
-        if where == "worker-unpicklable":
-            raise Unpicklable("no class to unpickle")
-        raise ValueError(f"type has no minimal realization: {render_type(TypeSum((m,)))}")
-
-    return failing
-
-
-@pytest.mark.parametrize(
-    "where, code, message",
-    [
-        ("worker", 2, "error: type has no minimal realization: (R"),
-        ("parent", 2, "error: type has no minimal realization: (R"),
-        ("worker-unpicklable", RuntimeError, "Unpicklable: no class to unpickle"),
-        ("worker-exit", RuntimeError, "ended with no result"),
-    ],
-)
-def test_a_failure_in_the_statistics_fails_extend_and_leaves_no_process(
-    tmp_path, monkeypatch, capsys, where, code, message
-):
-    # Weight 15 forks one worker; whichever share fails, `extend` fails
-    # with the failure's message, writes neither file for weight 15, and
-    # leaves no child process behind, killed or not.
+def test_a_failure_in_the_statistics_fails_extend_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    # A type with no minimal realization fails `extend` with its message
+    # and writes neither file for weight 15.
     import minvan.enumeration as enumeration
 
     db = tmp_path / "minvan.db"
@@ -568,51 +594,15 @@ def test_a_failure_in_the_statistics_fails_extend_and_leaves_no_process(
     assert main(["bootstrap", "--db", str(db)]) == 0
     assert main(["extend", "--db", str(db), "--to", "14"]) == 0
     before = db.read_bytes(), cache.read_bytes()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(enumeration, "type_statistics", _worker_failure(where))
-    if code == 2:
-        assert main(["extend", "--db", str(db), "--to", "15"]) == 2
-        assert message in capsys.readouterr().err
-    else:
-        with pytest.raises(code, match=message):
-            main(["extend", "--db", str(db), "--to", "15"])
+
+    def failing(m, c):
+        raise ValueError(f"type has no minimal realization: {render_type(TypeSum((m,)))}")
+
+    monkeypatch.setattr(enumeration, "type_statistics", failing)
+    assert main(["extend", "--db", str(db), "--to", "15"]) == 2
+    assert "error: type has no minimal realization: (R" in capsys.readouterr().err
     assert (db.read_bytes(), cache.read_bytes()) == before
     assert load_db(str(db)).max_complete_weight == 14
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_worker_runs_no_exit_handler_and_flushes_no_buffer(tmp_path):
-    # A forked worker inherits the parent's atexit hooks and its unflushed
-    # stdout; it ends with os._exit, so each shows once, in the parent.
-    import subprocess
-
-    import minvan
-
-    script = "\n".join(
-        [
-            "import atexit, os, sys",
-            "import minvan.cli as cli",
-            "os.sched_getaffinity = lambda pid: {0, 1}",
-            "forks = []",
-            "fork = cli._fork",
-            "cli._fork = lambda work: forks.append(work) or fork(work)",
-            "atexit.register(print, 'exit handler ran')",
-            "print('buffered before the fork')",
-            "assert cli.main(['bootstrap', '--db', 'minvan.db']) == 0",
-            "assert cli.main(['extend', '--db', 'minvan.db', '--to', '15']) == 0",
-            "print('forks:', len(forks))",
-        ]
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(minvan.__file__).resolve().parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
-        timeout=120,
-    ).stdout
-    assert out.count("exit handler ran") == 1
-    assert out.count("buffered before the fork") == 1
-    assert out.count("weight 15: 14 types") == 1
-    assert "forks: 1" in out
 
 
 # sha256 of the outputs of `bootstrap` then one `extend --to 21` process, and
@@ -638,7 +628,7 @@ def test_build_through_weight_21_is_byte_identical(tmp_path, extends, cores):
     import minvan
 
     env = {**os.environ, "PYTHONPATH": str(Path(minvan.__file__).resolve().parents[1])}
-    # `minvan` on that many cores as the statistics see them: at most one worker
+    # `minvan` as it runs on that many cores: one process either way
     script = (
         f"import os, sys; os.sched_getaffinity = lambda pid: set(range({cores}))\n"
         "from minvan.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -10,10 +10,11 @@ outside its own definition or by a test, demo or benchmark script (a
 re-export does not count).  The ``cli.cmd_*`` handlers are exempt, because
 ``main`` looks them up by name.  A module-level ``_name`` (not a dunder)
 may not be bound to a mutable container, so that a memo is a ``functools``
-cache, whose policy shows where it is defined.  A last test keeps the
-modules that only a statistics fan-out needs out of a plain ``import
-minvan.cli``, and one checks the code-line counter
-(``tests/code_lines.py``) that library sizes are reported with.
+cache, whose policy shows where it is defined.  The library runs in one
+process: it names no ``os.fork``, ``multiprocessing`` or
+``concurrent.futures``, and a plain ``import minvan.cli`` loads no process
+machinery.  One test checks the code-line counter (``tests/code_lines.py``)
+that library sizes are reported with.
 """
 
 import ast
@@ -210,9 +211,65 @@ def test_library_keeps_no_private_mutable_global():
     assert {module: names for module, names in found.items() if names} == {}
 
 
+REFUSED_PROCESS_NAMES = ("os.fork", "multiprocessing", "concurrent.futures")
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """`a.b.c` for a chain of attributes on a bare name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    base = _dotted(node.value) if isinstance(node, ast.Attribute) else None
+    return base and f"{base}.{node.attr}"
+
+
+def process_machinery(source: str) -> list[str]:
+    """`line N: name`, in line order, for each line of source that imports
+    or names one of REFUSED_PROCESS_NAMES, or something within it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [_dotted(node)]
+        else:
+            continue
+        found |= {
+            (node.lineno, refused)
+            for name in names
+            for refused in REFUSED_PROCESS_NAMES
+            if name and (name == refused or name.startswith(refused + "."))
+        }
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detects_process_machinery():
+    source = (
+        "import os\n"
+        "import multiprocessing.pool\n"
+        "from concurrent import futures\n"
+        "from os import fork\n"
+        "pid = os.fork()\n"
+        "pool = concurrent.futures.ProcessPoolExecutor\n"
+        "print(os.forkpty, os.getpid(), futures, fork, multiprocessing)\n"
+    )
+    assert process_machinery(source) == [
+        "line 2: multiprocessing",
+        "line 3: concurrent.futures",
+        "line 4: os.fork",
+        "line 5: os.fork",
+        "line 6: concurrent.futures",
+    ]
+
+
+def test_library_runs_in_one_process():
+    found = {module: process_machinery(source) for module, source in _library_sources().items()}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
 def test_importing_the_cli_loads_no_process_machinery():
-    # pickle and signal are imported by the fan-out when it forks, so a
-    # command that forks no worker never pays for them.
+    # `extend` runs in one process, so no command pays for these.
     script = (
         "import sys, minvan.cli\n"
         "print(sorted({'pickle', 'signal', 'multiprocessing', 'subprocess'} & set(sys.modules)))"
